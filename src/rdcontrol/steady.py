@@ -1,29 +1,31 @@
 """Radial steady states: the shooting integrator, barrier search,
 critical radii, weighted radial solves and discrete steady-state paths.
 
-The shooting problem is the initial value problem
-
-    p'' = -f(p) - ( (2/sigma) b(r) + (d-1)/r ) p',   p(0) = alpha, p'(0) = 0,
-
-integrated outward with an adaptive step-doubling RK4.  At the origin the
-singular term is regularized by the analytic limit p''(0) = -f(alpha)/d
-and the first step is taken by second-order Taylor expansion.
-
 Barriers (non-trivial steady states with constant boundary value 0 or 1)
-are located by bisection on alpha and then polished by a damped Newton
-solve on the discrete elliptic system, so every returned barrier is an
-exact fixed point of the package's own time stepper.
+are found by shooting on the discrete scheme.  Row i of A p + f(p) = 0 is
+the recurrence p_{i+1} = -(lower_i p_{i-1} + diag_i p_i + f(p_i)) / upper_i
+with upper_i > 0 (A is an M-matrix), so the centre value alpha and the
+symmetric centre row fix a profile.  The march runs outward for many
+alpha lanes at once, every edge of the feasible alpha set is multisected
+(Keller 1968) and a Newton solve pins the boundary node, so each barrier
+is an exact fixed point of the package's own time stepper.
+
+``shoot_radial`` integrates the continuous problem
+p'' = -f(p) - ((2/sigma) b(r) + (d-1)/r) p', p(0) = alpha, p'(0) = 0 with
+an adaptive step-doubling RK4 (p''(0) = -f(alpha)/d regularizes the
+origin, the first step is a Taylor step); it gives a returned barrier
+its phase-plane trajectory and crossing radii.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import newton_steady, resample_to_grid, steady_residual
+from .elliptic import assemble_operator, newton_steady, resample_to_grid, steady_residual
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
@@ -69,7 +71,7 @@ class Barrier:
     residual: float
     p_min: float
     p_max: float
-    alpha: Optional[float] = None
+    alpha: Optional[float] = None  # centre value of the discrete march; None: energy route
     trajectory: Optional[RadialTrajectory] = field(default=None, repr=False)
 
     def deviation(self) -> float:
@@ -222,174 +224,182 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
 
 
 # ---------------------------------------------------------------------------
-# barrier search
+# barrier search: shooting on the discrete scheme
 # ---------------------------------------------------------------------------
 
-def _monotone_reach(traj: RadialTrajectory, target: str, tol_v: float = 1e-10) -> float:
-    """First radius where the trajectory reaches the target level having
-    stayed monotone on the way; +inf when it never does.
+_LANES = 31          # multisection points per feasibility edge and round
+_ALPHA_RTOL = 1e-10  # relative width at which an edge of the alpha scan is resolved
+_MONO_TOL = 1e-12    # node-to-node step away from the target still counted as monotone
 
-    A blow-up exit (|p'| > v_limit) moving toward the target is within
-    O(1/v_limit) of crossing it, so the crossing radius is completed by
-    one linear step.
+
+def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas, target: float,
+           keep: bool = False):
+    """March the steady rows of ``ops = (lower, diag, upper)`` outward from
+    the centre, one lane per centre value in ``alphas``.
+
+    Returns ``(reach, column)``.  ``reach[k]`` is the first node, counted
+    from the centre, where lane k meets ``target`` having moved
+    monotonically toward it, and n when it never does by the boundary
+    node.  With ``keep`` (one lane) ``column`` holds the marched nodes up
+    to the reach node, else it is None; a scan carries only two rows.
     """
-    r_star = traj.events.get(target)
-    if r_star is None and traj.blow_up:
-        p_end, v_end, r_end = traj.p[-1], traj.v[-1], traj.r[-1]
-        if target == "r_one" and v_end > 0.0 and p_end < 1.0:
-            r_star = r_end + (1.0 - p_end) / v_end
-        if target == "r_zero" and v_end < 0.0 and p_end > 0.0:
-            r_star = r_end + (0.0 - p_end) / v_end
-    if r_star is None:
-        return math.inf
-    mask = traj.r <= r_star + 1e-12
-    v = traj.v[mask]
-    if target == "r_one" and np.min(v) < -tol_v:
-        return math.inf
-    if target == "r_zero" and np.max(v) > tol_v:
-        return math.inf
-    return float(r_star)
+    lower, diag, upper = ops
+    n = lower.size
+    s = 0 if geometry.kind == "ball" else n // 2
+    if geometry.kind == "interval" and n % 2 == 0:
+        a, b = lower[s] + diag[s], upper[s]  # nodes s-1 and s mirror each other
+    else:
+        a, b = diag[s], lower[s] + upper[s]  # p_{s-1} = p_{s+1}; lower[0] = 0 in a ball
+    sign = 1.0 if target > 0.5 else -1.0
+    prev = np.asarray(alphas, dtype=float)
+    cur = -(a * prev + nl.f(prev)) / b
+    reach = np.full(prev.size, n)
+    live = np.ones(prev.size, dtype=bool)
+    column = [prev, cur]
+    for i in range(s + 1, n):
+        hit = live & (sign * (cur - target) >= 0.0)
+        reach[hit] = i - s
+        live &= ~hit & (sign * (cur - prev) >= -_MONO_TOL)
+        if i == n - 1 or not live.any():
+            break
+        nxt = -(lower[i] * prev + diag[i] * cur + nl.f(cur)) / upper[i]
+        prev, cur = cur, np.where(live, nxt, cur)  # decided lanes stay frozen
+        if keep:
+            column.append(cur)
+    return reach, (np.concatenate(column) if keep else None)
 
 
-def _polish_barrier(nl, drift, sigma, geometry, n_grid, traj, boundary_value):
-    """Resample a shooting trajectory and Newton-polish it into an exact
-    discrete steady state; returns None for trivial/invalid results."""
-    drift_eff = DriftField(kind=drift.kind, sigma=sigma, family=drift.family,
-                           b_func=drift.b_func, ln_N_func=drift.ln_N_func,
-                           eps=drift.eps) if drift.kind != "homogeneous" else drift
-    prof = resample_to_grid(geometry, n_grid, traj.r, np.clip(traj.p, 0.0, 1.0))
-    seed = prof.values.copy()
-    seed[-1] = boundary_value
-    if geometry.kind == "interval":
-        seed[0] = boundary_value
+def _edges(nl, geometry, ops, alphas, feasible, target) -> list[float]:
+    """Every edge of the feasibility set over the sorted scan ``alphas``,
+    multisected with _LANES points per round until each bracket is
+    narrower than _ALPHA_RTOL relative to its upper end.
+
+    Returns the infeasible side of each bracket, as the continuous search
+    did: where the column meets the target exactly at the boundary node,
+    that column runs to the boundary node just short of the target.
+    """
+    n = ops[0].size
+    i = np.flatnonzero(feasible[:-1] != feasible[1:])
+    lo, hi, f_lo = alphas[i], alphas[i + 1], feasible[i]
+    rows = np.arange(i.size)
+    t = np.linspace(0.0, 1.0, _LANES + 2)
+    while np.any(hi - lo > _ALPHA_RTOL * hi):
+        grid = lo[:, None] + (hi - lo)[:, None] * t
+        grid[:, -1] = hi
+        inner = _march(nl, geometry, ops, grid[:, 1:-1].ravel(), target)[0] < n
+        feas = np.column_stack([inner.reshape(i.size, _LANES), ~f_lo])
+        k = np.argmax(feas != f_lo[:, None], axis=1)  # first point past the edge
+        lo, hi = grid[rows, k], grid[rows, k + 1]
+    return list(np.where(f_lo, hi, lo))
+
+
+def _setup(drift: DriftField, sigma: float, R: float, d: int, n_grid: int):
+    """Geometry, effective drift and grid operator of a barrier search."""
+    if drift.kind == "infection":
+        raise InvalidInput("invalid-drift-kind: an infection drift depends on p, so its "
+                           "barriers live in the transformed variable; use transform-check")
+    geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
+    drift_eff = replace(drift, sigma=sigma)
+    lower, diag, upper, _ = assemble_operator(geometry, n_grid, drift_eff)
+    return geometry, drift_eff, (lower, diag, upper)
+
+
+def _settle(nl, drift_eff, geometry, seed, bv, alpha=None) -> Optional[Barrier]:
+    """Newton-polish a seed into a barrier pinned to ``bv``; None when
+    Newton fails or the result leaves [0, 1] or stays trivial."""
     try:
-        vals, residual = newton_steady(geometry, drift_eff, nl, seed,
-                                       bc_left=boundary_value, bc_right=boundary_value)
+        vals, residual = newton_steady(geometry, drift_eff, nl, seed, bv, bv)
     except SolverFailure:
         return None
     if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
         return None
     vals = np.clip(vals, 0.0, 1.0)
-    barrier = Barrier(profile=GridProfile(geometry, vals), boundary_value=boundary_value,
-                      residual=residual, p_min=float(np.min(vals)), p_max=float(np.max(vals)),
-                      alpha=traj.alpha, trajectory=traj)
-    if barrier.deviation() <= NONTRIVIAL_MARGIN:
-        return None
-    return barrier
+    barrier = Barrier(profile=GridProfile(geometry, vals), boundary_value=bv, residual=residual,
+                      p_min=float(np.min(vals)), p_max=float(np.max(vals)), alpha=alpha)
+    return barrier if barrier.deviation() > NONTRIVIAL_MARGIN else None
 
 
-def _feasible_alphas(reach, alphas, R: float, tol: float = 1e-10) -> list[float]:
-    """Roots of reach(alpha) = R located by scanning the feasibility
-    predicate reach <= R and bisecting every edge of the feasible band.
+def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrier]:
+    """Barrier seeded by the column marched from ``alpha``, extended by
+    ``bv`` past its reach node and mirrored onto an interval grid."""
+    n = ops[0].size
+    column = _march(nl, geometry, ops, [alpha], bv, keep=True)[1]
+    half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
+    half[:column.size] = column
+    seed = half if geometry.kind == "ball" else \
+        np.concatenate([half[:0:-1] if n % 2 else half[::-1], half])
+    return _settle(nl, drift_eff, geometry, seed, bv, alpha=float(alpha))
 
-    reach(alpha) is continuous where finite but the feasible band sits
-    strictly inside the alpha range (trajectories linger near the
-    equilibria at either end), so infeasible includes reach = +inf.
-    """
-    feas = [reach(a) <= R for a in alphas]
-    roots = []
-    for i in range(len(alphas) - 1):
-        if feas[i] == feas[i + 1]:
-            continue
-        lo, hi = alphas[i], alphas[i + 1]  # lo infeasible or feasible; track predicate
-        f_lo = feas[i]
-        while abs(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
-            if (reach(mid) <= R) == f_lo:
-                lo = mid
-            else:
-                hi = mid
-        root = hi if f_lo else lo  # the feasible side of the edge
-        roots.append(root)
-    return roots
+
+def _with_trajectory(barrier, nl, drift, sigma, d, R, h) -> Barrier:
+    """Attach the continuous shot from the search's alpha (the phase
+    portrait and crossing radii), not from the profile's clipped centre."""
+    if barrier.alpha is None:
+        return barrier
+    return replace(barrier, trajectory=shoot_radial(nl, drift, sigma, barrier.alpha, d,
+                                                    1.02 * R, h))
 
 
 def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
                      R: float, d: int, n_grid: int = 801, h: float = 1e-3) -> Optional[Barrier]:
     """Barrier with boundary value 1 on a domain of radius R, if any.
 
-    Solves R(sigma, 1, alpha) = R by bisection on the feasibility band
-    of the monotone-reach radius over alpha in (0, theta); the lower
-    edge of the band is the branch where the reach is non-increasing in
-    alpha.  Returns None when no admissible monotone trajectory reaches
-    1 by radius R.
+    Scans the centre value alpha over (0, theta) with the discrete march
+    and multisects every edge of the set of alphas whose column rises
+    monotonically to 1 by the boundary node.  The lowest edge whose
+    Newton polish is admissible wins (a second, upper edge can exist).
+    Returns None when no column reaches 1.  ``h`` only sets the step of
+    the continuous trajectory shot for the returned barrier.
     """
-    theta = nl.theta
-    geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
-    r_cap = 1.02 * R
-
-    def reach(alpha: float) -> float:
-        traj = shoot_radial(nl, drift, sigma, alpha, d, r_cap, h)
-        return _monotone_reach(traj, "r_one")
-
+    geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
     # strong drifts push the feasibility edge to exponentially small
-    # alpha (Gronwall: theta <= alpha e^{2 r^2/sigma + ...}); extend the
-    # scan floor until the edge is inside
-    lo = 1e-7
-    for _ in range(16):
-        if not (reach(lo) <= R) or lo < 1e-90:
-            break
-        lo *= 1e-6
-    alphas = np.geomspace(lo, theta * (1.0 - 1e-9), 48)
-    roots = sorted(_feasible_alphas(reach, alphas, R))
+    # alpha (Gronwall: theta <= alpha e^{2 r^2/sigma + ...}); the scan
+    # floor is the first infeasible one of 1e-7 * 1e-6^k, or 1e-91
+    floors = 1e-7 * 1e-6 ** np.arange(15)
+    floor_ok = _march(nl, geometry, ops, floors[:-1], 1.0)[0] < n_grid
+    lo = floors[np.argmin(np.append(floor_ok, False))]
+    alphas = np.geomspace(lo, nl.theta * (1.0 - 1e-9), 48)
+    reach = _march(nl, geometry, ops, alphas, 1.0)[0]
+    feasible = reach < n_grid
+    roots = _edges(nl, geometry, ops, alphas, feasible, 1.0)  # ascending
     if not roots:
-        # every probe reaches before R: seed the Newton solve from the
-        # feasible trajectory whose crossing lies closest to R (its
-        # clipped extension by 1 is the classical supersolution seed)
-        reaches = [(reach(a), a) for a in alphas]
-        feasible = [(ra, a) for ra, a in reaches if ra <= R]
-        if not feasible:
+        # every probe reaches 1: seed Newton from the column that reaches
+        # it last, extended by 1 (the classical supersolution seed)
+        if not feasible.any():
             return None
-        roots = [max(feasible)[1]]
+        roots = [max(zip(reach[feasible], alphas[feasible]))[1]]
     for a in roots:
-        traj = shoot_radial(nl, drift, sigma, a, d, r_cap, h)
-        if _monotone_reach(traj, "r_one") is math.inf:
-            continue
-        barrier = _polish_barrier(nl, drift, sigma, geometry, n_grid, traj, 1.0)
+        barrier = _marched_barrier(nl, drift_eff, geometry, ops, a, 1.0)
         if barrier is not None:
-            return barrier
+            return _with_trajectory(barrier, nl, drift, sigma, d, R, h)
     return None
 
 
 def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
                       R: float, d: int, n_grid: int = 801, h: float = 1e-3) -> Optional[Barrier]:
-    """Barrier with boundary value 0, found by shooting from alpha in
-    (theta, 1) and cross-validated against the energy minimizer.
+    """Barrier with boundary value 0, found by the discrete march from
+    alpha in (theta, 1) and cross-validated against the energy minimizer.
 
-    The first-hit radius r0(alpha) is not monotone over the whole range,
-    so every edge of the feasibility band r0 <= R is bisected.  Of the
-    surviving candidates and the polished energy minimizer the profile
-    with the smaller residual is returned.
+    Every edge of the set of alphas whose column falls monotonically to 0
+    by the boundary node is multisected.  Of the admissible candidates
+    and the polished energy minimizer the profile with the smallest
+    residual is returned.  ``h`` only sets the step of the continuous
+    trajectory shot for the returned barrier.
     """
-    theta = nl.theta
-    geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
-    r_cap = 1.02 * R
-
-    def hit_zero(alpha: float) -> float:
-        traj = shoot_radial(nl, drift, sigma, alpha, d, r_cap, h)
-        return _monotone_reach(traj, "r_zero")
-
-    alphas = np.linspace(theta + 0.01, 1.0 - 1e-6, 64)
-    roots = _feasible_alphas(hit_zero, alphas, R)
-
-    barriers = []
-    for a in roots:
-        traj = shoot_radial(nl, drift, sigma, a, d, r_cap, h)
-        if _monotone_reach(traj, "r_zero") is math.inf:
-            continue
-        b = _polish_barrier(nl, drift, sigma, geometry, n_grid, traj, 0.0)
-        if b is not None:
-            barriers.append(b)
-
-    energy_candidate = _energy_route_barrier(nl, drift, sigma, geometry, n_grid)
-    if energy_candidate is not None:
-        barriers.append(energy_candidate)
+    geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
+    alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
+    reach = _march(nl, geometry, ops, alphas, 0.0)[0]
+    candidates = [_marched_barrier(nl, drift_eff, geometry, ops, a, 0.0)
+                  for a in _edges(nl, geometry, ops, alphas, reach < n_grid, 0.0)]
+    candidates.append(_energy_route_barrier(nl, drift, drift_eff, sigma, geometry, n_grid))
+    barriers = [b for b in candidates if b is not None]
     if not barriers:
         return None
-    return min(barriers, key=lambda b: b.residual)
+    best = min(barriers, key=lambda b: b.residual)
+    return _with_trajectory(best, nl, drift, sigma, d, R, h)
 
 
-def _energy_route_barrier(nl, drift, sigma, geometry, n_grid):
+def _energy_route_barrier(nl, drift, drift_eff, sigma, geometry, n_grid):
     """Energy route of the boundary-0 search: projected-gradient descent
     of the weighted energy from the plateau test function, then Newton."""
     from .energy import minimize_energy_sigma, plateau_ramp_eta
@@ -405,18 +415,7 @@ def _energy_route_barrier(nl, drift, sigma, geometry, n_grid):
         return None
     if float(np.max(prof.values)) <= NONTRIVIAL_MARGIN:
         return None
-    drift_eff = DriftField(kind=drift.kind, sigma=sigma, family=drift.family,
-                           b_func=drift.b_func, ln_N_func=drift.ln_N_func,
-                           eps=drift.eps) if drift.kind != "homogeneous" else drift
-    try:
-        vals, residual = newton_steady(geometry, drift_eff, nl, prof.values, 0.0, 0.0)
-    except SolverFailure:
-        return None
-    if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9 or np.max(vals) <= NONTRIVIAL_MARGIN:
-        return None
-    vals = np.clip(vals, 0.0, 1.0)
-    return Barrier(profile=GridProfile(geometry, vals), boundary_value=0.0,
-                   residual=residual, p_min=float(np.min(vals)), p_max=float(np.max(vals)))
+    return _settle(nl, drift_eff, geometry, prof.values, 0.0)
 
 
 def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: float,

@@ -10,8 +10,9 @@ the advection coefficient 2x/sigma admits no barrier of either kind:
 the weighted Rayleigh bound min(w)/max(w) * lambda_1^D = 0.338 exceeds
 sup f(p)/p = 0.112 (and theta^2/4 = 0.027 for boundary 1), which
 test_steady asserts as a nonexistence result.  Criterion 1 bounds the
-cost of its barrier searches by the RK4 steps they take, not by wall
-time, so the bound does not depend on the host.
+cost of its barrier searches by the RK4 steps and discrete-march
+lane-rows they take, not by wall time, so the bound does not depend on
+the host.
 
 Criterion 4 checks what the spectral certificate promises: it is
 sufficient for barrier nonexistence, not necessary.  Homogeneous
@@ -72,23 +73,31 @@ def _preset_sigma(name: str) -> float:
 # stored reference run (test_output.txt) spent 5.7 s on the two barrier
 # searches at sigma = 40, L = 2.5, which take 161 shots and 410 872 steps;
 # the original 10 s wall-clock bound therefore allows
-# 10 s * 410 872 / 5.7 s ~ 7.2e5 steps on that host.
+# 10 s * 410 872 / 5.7 s ~ 7.2e5 steps on that host.  The discrete march
+# of the barrier search counts one step per lane and row: one evaluation
+# of f, against the 12 of an accepted step-doubling RK4 step.
 _STEP_BUDGET = 10.0 * 410_872 / 5.7
 
 
 def test_criterion_1_figure_4_5_barriers(nl, monkeypatch):
     s1, s0 = _preset_sigma("fig4_strong"), _preset_sigma("fig5_strong")
     with criterion(1, f"fig 4/5 barriers at the *_strong sigma={s1:g}/{s0:g}, L=2.5, "
-                      f"within {_STEP_BUDGET:.3g} RK4 steps"):
+                      f"within {_STEP_BUDGET:.3g} RK4 steps and march lane-rows"):
         steps = []
-        shoot = steady.shoot_radial
+        shoot, march = steady.shoot_radial, steady._march
 
         def counting_shoot(*args, **kwargs):
             traj = shoot(*args, **kwargs)
             steps.append(len(traj.r))
             return traj
 
+        def counting_march(nl_, geometry, ops, alphas, *args, **kwargs):
+            # every row from the centre node of the odd interval grid outward
+            steps.append(ops[0].size // 2 * np.size(alphas))
+            return march(nl_, geometry, ops, alphas, *args, **kwargs)
+
         monkeypatch.setattr(steady, "shoot_radial", counting_shoot)
+        monkeypatch.setattr(steady, "_march", counting_march)
         b1 = find_barrier_one(nl, DriftField.radial("gauss_out", s1), s1, 2.5, 1)
         b0 = find_barrier_zero(nl, DriftField.radial("gauss_out", s0), s0, 2.5, 1)
         assert b1 is not None, f"no boundary-1 barrier at sigma={s1:g}, L=2.5"
@@ -101,7 +110,8 @@ def test_criterion_1_figure_4_5_barriers(nl, monkeypatch):
         E = 0.5 * tr.v**2 + np.asarray(nl.F(tr.p))
         assert E[0] < 0.0 < float(nl.F(1.0)) < E[-1]
         assert sum(steps) <= _STEP_BUDGET, (
-            f"barrier searches took {sum(steps)} RK4 steps in {len(steps)} shots, "
+            f"barrier searches took {sum(steps)} RK4 steps and lane-rows in {len(steps)} "
+            f"shots and marches, "
             f"over the budget of {_STEP_BUDGET:.0f}")
 
 

@@ -104,6 +104,14 @@ class TestCommands:
         svg = (tmp_path / "o" / "barrier_0_phase.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_barriers_with_infection_drift_exit_2(self, tmp_path, capsys):
+        rc = main(["barriers", "--scenario", _write_scenario(tmp_path, {
+            "experiment": "barriers", "domain": {"kind": "interval", "L": 1.0}, "n": 101,
+            "drift": {"kind": "infection", "family": "affine", "a": 1, "b": 1}}),
+            "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "transform-check" in capsys.readouterr().err
+
     def test_transform_check_preset(self, tmp_path):
         rc = main(["preset", "transform_check", "--out", str(tmp_path / "o")])
         assert rc == 0

@@ -176,6 +176,75 @@ class TestBarriers:
         assert find_barrier_zero(nl033, homog, 1.0, 1.0, 1) is None
 
 
+class TestDiscreteSearch:
+    """Edge cases of the discrete march behind the barrier search.  The
+    reference values are those of the continuous RK4 shooting search it
+    replaced, measured on the same grids."""
+
+    def test_even_grid_mirrors_the_two_middle_nodes(self, nl033, gauss_out):
+        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1, n_grid=800)
+        assert b is not None and b.residual < 1e-9
+        assert b.p_min == pytest.approx(0.0298003725, abs=1e-6)
+        vals = b.profile.values
+        assert vals[399] == pytest.approx(vals[400], abs=1e-12)
+        assert vals[400] == pytest.approx(b.p_min, abs=1e-12)
+
+    def test_ball_origin_row(self, nl033, gauss_out):
+        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 3, n_grid=401)
+        assert b is not None and b.residual < 1e-9
+        assert b.p_max == pytest.approx(0.5988602857, abs=1e-6)
+        assert b.profile.values[0] == b.p_max
+        assert find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 2) is None
+
+    def test_edge_far_below_the_scan_floor(self, nl033):
+        # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25, so
+        # the profile's centre clips to ~0 and the trajectory shot must
+        # start from the search's alpha
+        b = find_barrier_one(nl033, DriftField.radial("gauss_out", 0.1), 0.1, 2.5, 1, n_grid=401)
+        assert b is not None and b.residual < 1e-9
+        assert 0.0 < b.alpha < 1e-20
+        assert b.p_min == pytest.approx(0.0, abs=1e-6)
+        assert b.trajectory is not None and b.trajectory.alpha == b.alpha
+
+    def test_lower_edge_is_returned(self, nl033, gauss_out):
+        # the feasible band has a second edge near alpha = 0.2925 that
+        # also polishes into a barrier; the search keeps the lower edge
+        from rdcontrol import steady
+
+        geometry, drift_eff, ops = steady._setup(gauss_out, SIGMA_STRONG, 2.5, 1, 801)
+        alphas = np.geomspace(1e-7, 0.33 * (1.0 - 1e-9), 48)
+        reach = steady._march(nl033, geometry, ops, alphas, 1.0)[0]
+        lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < 801, 1.0)
+        assert upper == pytest.approx(0.2925, abs=1e-4)
+        assert steady._marched_barrier(nl033, drift_eff, geometry, ops, upper, 1.0) is not None
+        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        assert b.alpha == lower
+        assert b.p_min == pytest.approx(0.0298003422, abs=1e-6)
+
+    def test_marched_seed_is_exact_before_newton(self, nl033, gauss_out, monkeypatch):
+        from rdcontrol import steady
+
+        seed_residuals = []
+        newton = steady.newton_steady
+
+        def spy(geometry, drift, nl, seed, *args, **kwargs):
+            seed_residuals.append(steady_residual(geometry, drift, nl, seed))
+            return newton(geometry, drift, nl, seed, *args, **kwargs)
+
+        monkeypatch.setattr(steady, "newton_steady", spy)
+        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        assert b is not None
+        assert seed_residuals[0] <= 1e-9
+
+    def test_infection_drift_is_rejected(self, nl033):
+        from rdcontrol.errors import InvalidInput
+
+        drift = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
+        for finder in (find_barrier_one, find_barrier_zero):
+            with pytest.raises(InvalidInput, match="transform-check"):
+                finder(nl033, drift, 1.0, 1.0, 1)
+
+
 class TestCriticalRadius:
     def test_monotone_in_sigma(self, nl033, gauss_out):
         probes = np.linspace(1.0, 4.0, 7)
