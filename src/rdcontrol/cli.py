@@ -177,9 +177,8 @@ def _run_mintime(sc: Scenario) -> int:
     horizons = sc.extra.get("horizons", list(np.geomspace(1.0, 300.0, 24)))
     if not family or not sigmas:
         raise InvalidInput("invalid-scenario: mintime-scan needs family and sigmas")
-    jobs = int(sc.extra.get("jobs", 1))
     results = mintime_scan(str(family), sigmas, sc.nl, sc.geometry, horizons,
-                           n=sc.n, dt=sc.dt, jobs=jobs)
+                           n=sc.n, dt=sc.dt)
     rows = [(r.parameter, r.T_min) for r in results]
     write_csv(os.path.join(sc.out_dir, f"mintime_{family}.csv"),
               ["sigma", "T_min"], rows, sc.raw)
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--grid", type=int, default=None, help="override node count")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
 
     for name, exp in (("barriers", "barriers"), ("simulate", "simulate"),
                       ("report", "report"), ("eigen", "eigen"), ("energy", "energy"),
@@ -297,8 +295,6 @@ def main(argv=None) -> int:
     try:
         raw = _load_raw(args)
         sc = load_scenario(raw, out_dir=args.out, overrides=_overrides(args))
-        if args.jobs and args.jobs > 1:
-            sc.extra["jobs"] = args.jobs
         return run(sc)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,8 +141,6 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
                                                control_min=u_min, control_max=u_max,
                                                final=GridProfile(geometry, vals))
                     last_gap = gap
-        else:
-            pass
         gap = float(np.max(vals))
         if gap > delta1 / 2.0:
             return StaircaseResult(False, total, stage="step1", reason="barrier-to-0",
@@ -289,20 +287,10 @@ def _assert_monotone(probed: dict) -> None:
 
 def mintime_scan(drift_family: str, sigma_grid, nl: BistableNonlinearity,
                  geometry: DomainGeometry, horizon_grid, n: int = 101,
-                 dt: float = 0.02, delta1: float = 0.05, jobs: int = 1) -> list[MinTimeResult]:
+                 dt: float = 0.02, delta1: float = 0.05) -> list[MinTimeResult]:
     """One minimal-time search per drift intensity for a named family."""
     if drift_family not in ("gauss_out", "gauss_in", "abs_exp", "sin"):
         raise InvalidInput(f"invalid-family: {drift_family}")
-
-    def point(sig: float) -> MinTimeResult:
-        drift = DriftField.radial(drift_family, sig)
-        return minimal_time_to_theta(nl, drift, geometry, horizon_grid, n=n, dt=dt,
-                                     delta1=delta1)
-
-    sigmas = list(np.asarray(sigma_grid, dtype=float))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(point, sigmas))
-    return [point(s) for s in sigmas]
+    return [minimal_time_to_theta(nl, DriftField.radial(drift_family, sig), geometry,
+                                  horizon_grid, n=n, dt=dt, delta1=delta1)
+            for sig in np.asarray(sigma_grid, dtype=float)]

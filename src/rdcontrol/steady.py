@@ -1,14 +1,17 @@
 """Radial steady states: the shooting integrator, barrier search,
-critical radii, weighted radial solves and discrete steady-state paths.
+critical radii and discrete steady-state paths.
 
 Barriers (non-trivial steady states with constant boundary value 0 or 1)
-are found by shooting on the discrete scheme.  Row i of A p + f(p) = 0 is
-the recurrence p_{i+1} = -(lower_i p_{i-1} + diag_i p_i + f(p_i)) / upper_i
-with upper_i > 0 (A is an M-matrix), so the centre value alpha and the
+and the members of a steady-state path are found by shooting on the
+discrete scheme.  Row i of A p + f(p) = 0 is the recurrence
+p_{i+1} = -(lower_i p_{i-1} + diag_i p_i + f(p_i)) / upper_i with
+upper_i > 0 (A is an M-matrix), so the centre value alpha and the
 symmetric centre row fix a profile.  The march runs outward for many
-alpha lanes at once, every edge of the feasible alpha set is multisected
-(Keller 1968) and a Newton solve pins the boundary node, so each barrier
-is an exact fixed point of the package's own time stepper.
+alpha lanes at once.  For a barrier every edge of the feasible alpha set
+is multisected (Keller 1968) and a Newton solve pins the boundary node;
+a path member is the column marched from alpha = s theta with its last
+node as the boundary trace.  Either way the result is an exact fixed
+point of the package's own time stepper.
 
 ``shoot_radial`` integrates the continuous problem
 p'' = -f(p) - ((2/sigma) b(r) + (d-1)/r) p', p(0) = alpha, p'(0) = 0 with
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import assemble_operator, newton_steady, resample_to_grid, steady_residual
+from .elliptic import assemble_operator, newton_steady, steady_residual
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
@@ -37,7 +40,6 @@ __all__ = [
     "find_barrier_one",
     "find_barrier_zero",
     "critical_radius_R_star",
-    "solve_radial_weighted",
     "build_steady_path",
 ]
 
@@ -230,18 +232,22 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
 _LANES = 31          # multisection points per feasibility edge and round
 _ALPHA_RTOL = 1e-10  # relative width at which an edge of the alpha scan is resolved
 _MONO_TOL = 1e-12    # node-to-node step away from the target still counted as monotone
+_P_MAX = 5.0         # a lane stops once |p| exceeds this: it has left every admissible range
 
 
-def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas, target: float,
-           keep: bool = False):
+def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas,
+           target: Optional[float] = None, keep: bool = False):
     """March the steady rows of ``ops = (lower, diag, upper)`` outward from
     the centre, one lane per centre value in ``alphas``.
 
     Returns ``(reach, column)``.  ``reach[k]`` is the first node, counted
     from the centre, where lane k meets ``target`` having moved
     monotonically toward it, and n when it never does by the boundary
-    node.  With ``keep`` (one lane) ``column`` holds the marched nodes up
-    to the reach node, else it is None; a scan carries only two rows.
+    node; a lane stops once decided.  Without a ``target`` every lane
+    runs to the boundary node, unless it stops where |p| first exceeds
+    _P_MAX and keeps that value.  With ``keep`` ``column`` holds the
+    marched nodes, one row per node from the centre outward and one
+    column per lane, else it is None; a scan carries only two rows.
     """
     lower, diag, upper = ops
     n = lower.size
@@ -250,23 +256,34 @@ def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas, targ
         a, b = lower[s] + diag[s], upper[s]  # nodes s-1 and s mirror each other
     else:
         a, b = diag[s], lower[s] + upper[s]  # p_{s-1} = p_{s+1}; lower[0] = 0 in a ball
-    sign = 1.0 if target > 0.5 else -1.0
     prev = np.asarray(alphas, dtype=float)
     cur = -(a * prev + nl.f(prev)) / b
     reach = np.full(prev.size, n)
     live = np.ones(prev.size, dtype=bool)
     column = [prev, cur]
+    sign = 1.0 if target is None or target > 0.5 else -1.0
     for i in range(s + 1, n):
-        hit = live & (sign * (cur - target) >= 0.0)
-        reach[hit] = i - s
-        live &= ~hit & (sign * (cur - prev) >= -_MONO_TOL)
+        if target is not None:
+            hit = live & (sign * (cur - target) >= 0.0)
+            reach[hit] = i - s
+            live &= ~hit & (sign * (cur - prev) >= -_MONO_TOL)
+        else:
+            live &= np.abs(cur) <= _P_MAX
         if i == n - 1 or not live.any():
             break
         nxt = -(lower[i] * prev + diag[i] * cur + nl.f(cur)) / upper[i]
-        prev, cur = cur, np.where(live, nxt, cur)  # decided lanes stay frozen
+        prev, cur = cur, np.where(live, nxt, cur)  # stopped lanes stay frozen
         if keep:
             column.append(cur)
-    return reach, (np.concatenate(column) if keep else None)
+    return reach, (np.stack(column) if keep else None)
+
+
+def _unfold(geometry: DomainGeometry, n: int, half: np.ndarray) -> np.ndarray:
+    """Whole-grid columns from the n - n // 2 nodes marched from the centre
+    of an interval (mirrored) or the n nodes of a ball (unchanged)."""
+    if geometry.kind == "ball":
+        return half
+    return np.concatenate([half[:0:-1] if n % 2 else half[::-1], half])
 
 
 def _edges(nl, geometry, ops, alphas, feasible, target) -> list[float]:
@@ -323,12 +340,10 @@ def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrie
     """Barrier seeded by the column marched from ``alpha``, extended by
     ``bv`` past its reach node and mirrored onto an interval grid."""
     n = ops[0].size
-    column = _march(nl, geometry, ops, [alpha], bv, keep=True)[1]
+    column = _march(nl, geometry, ops, [alpha], bv, keep=True)[1][:, 0]
     half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
     half[:column.size] = column
-    seed = half if geometry.kind == "ball" else \
-        np.concatenate([half[:0:-1] if n % 2 else half[::-1], half])
-    return _settle(nl, drift_eff, geometry, seed, bv, alpha=float(alpha))
+    return _settle(nl, drift_eff, geometry, _unfold(geometry, n, half), bv, alpha=float(alpha))
 
 
 def _with_trajectory(barrier, nl, drift, sigma, d, R, h) -> Barrier:
@@ -435,155 +450,61 @@ def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: f
 
 
 # ---------------------------------------------------------------------------
-# weighted radial solve and the steady-state path
+# the steady-state path
 # ---------------------------------------------------------------------------
-
-def solve_radial_weighted(nl: BistableNonlinearity, N_radial, s: float, d: int,
-                          R: float, h: float) -> GridProfile:
-    """Solve -(r^{d-1} N^2 p')' = f(p) N^2 r^{d-1}, p(0) = s*theta, p'(0) = 0.
-
-    ``N_radial`` is a positive callable (or a DriftField, whose base N is
-    used).  A Picard fixed point of the integral form runs on a short
-    initial segment [0, r1]; the rest is marched by fixed-step RK4.
-    """
-    if not (0.0 <= s <= 1.0):
-        raise InvalidInput(f"invalid-scalar: s={s} not in [0,1]")
-    N_func = N_radial.N if isinstance(N_radial, DriftField) else N_radial
-    f_scalar = _scalar_f(nl)
-    n_out = max(9, int(round(R / h)) + 1)
-    grid = np.linspace(0.0, R, n_out)
-    p0 = s * nl.theta
-    if s == 0.0:
-        return GridProfile(DomainGeometry.ball(R, d) if d > 1 else DomainGeometry.interval(R),
-                           np.zeros(n_out))
-
-    def logderiv(r):
-        eps = 1e-6
-        rl = max(r - eps, 1e-12)
-        return (math.log(float(N_func(r + eps))) - math.log(float(N_func(rl)))) / (r + eps - rl)
-
-    # Picard fixed point on [0, r1]
-    r1 = min(R, 0.5)
-    for _ in range(30):
-        m = 129
-        t = np.linspace(0.0, r1, m)
-        w = np.asarray(N_func(t), dtype=float) ** 2
-        meas = t ** (d - 1) if d > 1 else np.ones_like(t)
-        phi = np.full(m, p0)
-        converged = False
-        for _ in range(80):
-            inner = _cumtrapz(np.asarray(nl.f(phi)) * w * meas, t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                integrand = np.where(t > 0.0, -inner / (w * np.where(meas > 0, meas, 1.0)), 0.0)
-            phi_new = p0 + _cumtrapz(integrand, t)
-            change = float(np.max(np.abs(phi_new - phi)))
-            prev = phi
-            phi = phi_new
-            if change < 1e-14:
-                converged = True
-                break
-        if converged:
-            break
-        r1 *= 0.5
-        if r1 < 1e-6 * R:
-            raise SolverFailure("contraction-failure: Picard segment shrank below 1e-6 R")
-    v1 = float(np.where(t[-1] > 0, integrand[-1], 0.0))
-
-    # RK4 march on [r1, R]
-    def rhs(r, p, v):
-        c = (d - 1) / r + 2.0 * logderiv(r)
-        return v, -f_scalar(p) - c * v
-
-    rs = [0.0] + list(t[1:])
-    ps = [p0] + list(phi[1:])
-    r, p, v = r1, float(phi[-1]), v1
-    n_steps = max(1, int(math.ceil((R - r1) / h)))
-    hh = (R - r1) / n_steps
-    for _ in range(n_steps):
-        p, v = _rk4(rhs, r, p, v, hh)
-        r += hh
-        rs.append(r)
-        ps.append(p)
-        if not (math.isfinite(p) and math.isfinite(v)) or abs(p) > 5.0 or abs(v) > 1e6:
-            raise SolverFailure("stiff-failure: weighted radial march left the admissible range")
-    geom = DomainGeometry.ball(R, d) if d > 1 else DomainGeometry.interval(R)
-    if geom.kind == "interval":
-        return resample_to_grid(geom, n_out, np.asarray(rs), np.asarray(ps))
-    return GridProfile(geom, np.interp(grid, np.asarray(rs), np.asarray(ps)))
-
-
-def _cumtrapz(y, x):
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
-    return out
-
 
 def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
                       geometry: DomainGeometry, K: int = 9, delta: float = 0.05,
                       n_grid: int = 401, max_members: int = 1024) -> SteadyPath:
     """Discrete path of steady states from ~0 to the Allee constant.
 
-    Members are the radial solutions with center value s*theta on an
-    s-grid that is refined until consecutive sup-gaps stay below
-    ``delta``; each member is polished into an exact discrete steady
-    state with its own boundary trace pinned.  Slowly-varying drifts are
-    handled by switching the advection term on gradually under Newton
-    continuation; a failed continuation retries once on a 5% inflated
-    domain before reporting the resonant parameter.
+    Members are the columns marched from the centre value s*theta, one
+    lane per s, on an s-grid that is refined until consecutive sup-gaps
+    stay below ``delta``; each column is an exact discrete steady state
+    and keeps its last node as the pinned boundary trace under the Newton
+    polish.  Homogeneous and radial drifts march their own rows.
+    Slowly-varying (spatial-log) drifts march the homogeneous rows and
+    switch the advection term on gradually under Newton continuation; a
+    failed continuation retries once on a 5% inflated domain before
+    reporting the resonant parameter.
     """
     if K < 2:
         raise InvalidInput("invalid-scalar: K must be >= 2")
     if delta <= 0.0:
         raise InvalidInput("invalid-scalar: delta must be positive")
-    R = geometry.inradius()
-    d = geometry.d if geometry.kind == "ball" else 1
-    h = min(1e-3 * max(R, 1.0), R / (4 * n_grid))
-
-    def member(s: float) -> GridProfile:
-        if drift.kind in ("homogeneous", "radial"):
-            N_eff = (lambda r: np.ones_like(np.asarray(r, dtype=float))) if drift.kind == "homogeneous" \
-                else (lambda r: np.exp(drift.ln_N(r) / drift.sigma))
-            ivp = solve_radial_weighted(nl, N_eff, s, d, R, h)
-            seed = np.interp(np.abs(geometry.grid(n_grid)) if geometry.kind == "interval"
-                             else geometry.grid(n_grid), ivp.x if ivp.geometry.kind == "ball"
-                             else ivp.x[ivp.n // 2:], ivp.values if ivp.geometry.kind == "ball"
-                             else ivp.values[ivp.n // 2:])
-            trace = float(seed[-1])
-            vals, _ = newton_steady(geometry, drift, nl, seed, trace, trace)
-            return GridProfile(geometry, vals)
-        if drift.kind == "spatial-log":
-            base = member_homog(s)
-            trace_l, trace_r = float(base.values[0]), float(base.values[-1])
-            vals = base.values
-            for tau in (0.25, 0.5, 0.75, 1.0):
-                scaled = DriftField(kind="spatial-log", sigma=drift.sigma / tau,
-                                    b_func=drift.b_func, ln_N_func=drift.ln_N_func)
-                try:
-                    vals, _ = newton_steady(geometry, scaled, nl, vals, trace_l, trace_r)
-                except SolverFailure:
-                    vals = _inflated_retry(s, scaled, trace_l, trace_r)
-            return GridProfile(geometry, vals)
+    if drift.kind not in ("homogeneous", "radial", "spatial-log"):
         raise InvalidInput("invalid-drift-kind: paths need homogeneous, radial or spatial-log drift")
+    homog = DriftField.homogeneous()
 
-    def member_homog(s: float) -> GridProfile:
-        ivp = solve_radial_weighted(nl, lambda r: np.ones_like(np.asarray(r, dtype=float)), s, d, R, h)
-        seed = ivp.values
-        trace = float(seed[-1])
-        homog = DriftField.homogeneous()
-        src = seed if ivp.n == n_grid else np.interp(
-            np.linspace(0, 1, n_grid), np.linspace(0, 1, ivp.n), seed)
-        vals, _ = newton_steady(geometry, homog, nl, src, trace, trace)
-        return GridProfile(geometry, vals)
+    def columns(geom, s_values) -> np.ndarray:
+        """Whole-grid columns marched on ``geom`` from s*theta, one row per s."""
+        ops = assemble_operator(geom, n_grid, homog if drift.kind == "spatial-log" else drift)[:3]
+        half = _march(nl, geom, ops, np.asarray(s_values) * nl.theta, keep=True)[1]
+        if not np.all(np.abs(half) <= _P_MAX):
+            raise SolverFailure(f"stiff-failure: a marched path member left |p| <= {_P_MAX:g}")
+        return _unfold(geom, n_grid, half).T
 
-    def _inflated_retry(s, scaled, trace_l, trace_r):
-        R_inf = 1.05 * R
-        geom_inf = (DomainGeometry.ball(R_inf, d) if geometry.kind == "ball"
-                    else DomainGeometry.interval(R_inf))
-        ivp = solve_radial_weighted(nl, lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                                    s, d, R_inf, h)
-        seed_inf = resample_to_grid(geom_inf, n_grid, ivp.x if ivp.geometry.kind == "ball"
-                                    else ivp.x[ivp.n // 2:], ivp.values if ivp.geometry.kind == "ball"
-                                    else ivp.values[ivp.n // 2:]).values
+    def members(s_values) -> list:
+        block = columns(geometry, s_values)
+        if drift.kind == "spatial-log":
+            return [GridProfile(geometry, continued(s, col)) for s, col in zip(s_values, block)]
+        return [GridProfile(geometry, newton_steady(geometry, drift, nl, col, col[-1], col[-1])[0])
+                for col in block]
+
+    def continued(s, vals):
+        trace_l, trace_r = float(vals[0]), float(vals[-1])
+        for tau in (0.25, 0.5, 0.75, 1.0):
+            scaled = DriftField(kind="spatial-log", sigma=drift.sigma / tau,
+                                b_func=drift.b_func, ln_N_func=drift.ln_N_func)
+            try:
+                vals, _ = newton_steady(geometry, scaled, nl, vals, trace_l, trace_r)
+            except SolverFailure:
+                vals = _inflated_retry(s, scaled)
+        return vals
+
+    def _inflated_retry(s, scaled):
+        geom_inf = replace(geometry, half_width=1.05 * geometry.half_width)
+        seed_inf = columns(geom_inf, [s])[0]
         try:
             vals_inf, _ = newton_steady(geom_inf, scaled, nl, seed_inf,
                                         float(seed_inf[0]), float(seed_inf[-1]))
@@ -597,7 +518,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
         return vals
 
     s_values = list(np.linspace(0.0, 1.0, K))
-    profiles = {s: member(s) for s in s_values}
+    profiles = dict(zip(s_values, members(s_values)))
     while True:
         inserts = []
         for a, b in zip(s_values[:-1], s_values[1:]):
@@ -607,8 +528,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
             break
         if len(s_values) + len(inserts) > max_members:
             raise SolverFailure("continuation-failure: path refinement exceeded member cap")
-        for s in inserts:
-            profiles[s] = member(s)
+        profiles.update(zip(inserts, members(inserts)))
         s_values = sorted(s_values + inserts)
 
     ordered = [profiles[s] for s in s_values]

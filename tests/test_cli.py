@@ -131,6 +131,12 @@ class TestCommands:
         vals = [float(x.split(",")[1]) for x in lines[2:]]
         assert vals[1] <= vals[0]
 
+    def test_jobs_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["mintime", "--jobs", "2", "--family", "gauss_in", "--sigmas", "2.5",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_all_presets_parse(self):
         for name in PRESETS:
             sc = load_scenario({"preset": name})

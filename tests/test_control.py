@@ -106,6 +106,7 @@ class TestMinTime:
         assert all(math.isfinite(t) for t in times)
         assert all(t2 <= t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] < times[0]
+        assert times == pytest.approx([67.998, 52.236, 23.680, 8.246], abs=1e-3)
 
     def test_gauss_out_blowup_tail(self, nl033):
         g = DomainGeometry.interval(2.5)
@@ -117,6 +118,7 @@ class TestMinTime:
         assert len(finite) >= 1
         assert all(t2 >= t1 for t1, t2 in zip(finite, finite[1:]))  # blow-up
         assert times[-1] == math.inf  # +inf tail
+        assert times == pytest.approx([93.146, 118.419, 191.398, math.inf], abs=1e-3)
 
     def test_invalid_family(self, nl033, interval_1):
         with pytest.raises(InvalidInput, match="invalid-family"):

@@ -12,7 +12,6 @@ from rdcontrol.steady import (
     find_barrier_one,
     find_barrier_zero,
     shoot_radial,
-    solve_radial_weighted,
 )
 
 SIGMA_STRONG = 1.0  # drift strong enough for barriers on L = 2.5 (see below)
@@ -258,25 +257,6 @@ class TestCriticalRadius:
         assert critical_radius_R_star(nl033, homog, 1.0, 1, probes) == math.inf
 
 
-class TestWeightedRadial:
-    def test_trivial_solutions(self, nl033):
-        N1 = lambda r: np.ones_like(np.asarray(r, dtype=float))
-        p0 = solve_radial_weighted(nl033, N1, 0.0, 1, 2.0, 1e-3)
-        assert np.max(np.abs(p0.values)) == 0.0
-        p1 = solve_radial_weighted(nl033, N1, 1.0, 1, 2.0, 1e-3)
-        assert np.max(np.abs(p1.values - 0.33)) < 1e-12
-
-    def test_agrees_with_shooting_homogeneous(self, nl033, homog):
-        # two independent integrators on the same IVP
-        N1 = lambda r: np.ones_like(np.asarray(r, dtype=float))
-        prof = solve_radial_weighted(nl033, N1, 0.5, 1, 2.0, 1e-3)
-        traj = shoot_radial(nl033, homog, 1e9, 0.5 * 0.33, 1, 2.0, 1e-3)
-        half = prof.values[prof.n // 2:]
-        r_half = np.linspace(0.0, 2.0, half.size)
-        p_shoot = np.interp(r_half, traj.r, traj.p)
-        assert np.max(np.abs(half - p_shoot)) < 1e-6
-
-
 class TestSteadyPath:
     def test_homogeneous_path(self, nl033, homog, interval_1):
         path = build_steady_path(nl033, homog, interval_1, K=9, delta=0.05, n_grid=101)
@@ -315,6 +295,42 @@ class TestSteadyPath:
                                  K=9, delta=0.05, n_grid=101)
         assert path.profiles[-1].sup_distance(base.profiles[-1]) < 0.05
 
+    def test_members_are_exact_before_newton(self, nl033, homog, interval_25, monkeypatch):
+        from rdcontrol import steady
+
+        seed_residuals = []
+        newton = steady.newton_steady
+
+        def spy(geometry, drift, nl, seed, *args, **kwargs):
+            seed_residuals.append(steady_residual(geometry, drift, nl, seed))
+            return newton(geometry, drift, nl, seed, *args, **kwargs)
+
+        monkeypatch.setattr(steady, "newton_steady", spy)
+        for drift in (homog, DriftField.radial("gauss_in", 2.5), DriftField.radial("gauss_out", 4.0)):
+            path = build_steady_path(nl033, drift, interval_25, K=9, delta=0.025, n_grid=101)
+            assert len(seed_residuals) == len(path)
+            assert max(seed_residuals) <= 1e-9
+            seed_residuals.clear()
+
+    def test_member_agrees_with_shooting_homogeneous(self, nl033, homog):
+        # the marched member against the continuous shot from its centre value
+        path = build_steady_path(nl033, homog, DomainGeometry.interval(2.0), K=3, delta=1.0,
+                                 n_grid=401)
+        member = path.profiles[list(path.s_values).index(0.5)]
+        half = member.values[200:]
+        assert half[0] == 0.5 * 0.33
+        traj = shoot_radial(nl033, homog, 1e9, half[0], 1, 2.0, 1e-3)
+        assert np.max(np.abs(half - np.interp(member.x[200:], traj.r, traj.p))) < 1e-6
+
+    def test_fine_grid_path_polishes_at_the_roundoff_floor(self, nl033, homog):
+        # n = 4001: the exact members sit above Newton's tolerance of 1e-11
+        # but at the roundoff floor of A p (1/h^2 = 1e6), where the line
+        # search can make no progress
+        path = build_steady_path(nl033, homog, DomainGeometry.interval(2.0), n_grid=4001)
+        assert path.admissible
+        assert path.max_residual <= 1e-9
+        assert path.max_gap() <= 0.05
+
 
 def test_barrier_residual_cited_in_steady_residual(nl033, gauss_out):
     b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
@@ -335,13 +351,13 @@ def test_certificate_soundness_sweep(nl033, homog):
 
 
 class TestErrorContracts:
-    def test_weighted_march_stiff_failure(self, nl033):
-        # outward Gaussian weight at strong drift blows the member past 1
+    def test_path_march_stiff_failure(self, nl033, interval_25):
+        # outward Gaussian drift at strong intensity blows the members past 1
         from rdcontrol.errors import SolverFailure
 
-        N_eff = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2 / (2 * 0.08))
         with pytest.raises(SolverFailure, match="stiff-failure"):
-            solve_radial_weighted(nl033, N_eff, 0.9, 1, 2.5, 1e-3)
+            build_steady_path(nl033, DriftField.radial("gauss_out", 0.08), interval_25,
+                              K=9, delta=0.025, n_grid=101)
 
     def test_invalid_alpha(self, nl033, gauss_out):
         from rdcontrol.errors import InvalidInput
@@ -349,9 +365,13 @@ class TestErrorContracts:
         with pytest.raises(InvalidInput, match="invalid-alpha"):
             shoot_radial(nl033, gauss_out, 1.0, 1.5, 1, 2.0, 1e-3)
 
-    def test_bad_s_range(self, nl033):
+    def test_bad_path_parameters(self, nl033, homog, interval_1):
         from rdcontrol.errors import InvalidInput
 
-        N1 = lambda r: np.ones_like(np.asarray(r, dtype=float))
         with pytest.raises(InvalidInput, match="invalid-scalar"):
-            solve_radial_weighted(nl033, N1, 1.5, 1, 1.0, 1e-3)
+            build_steady_path(nl033, homog, interval_1, K=1)
+        with pytest.raises(InvalidInput, match="invalid-scalar"):
+            build_steady_path(nl033, homog, interval_1, delta=0.0)
+        infection = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
+        with pytest.raises(InvalidInput, match="invalid-drift-kind"):
+            build_steady_path(nl033, infection, interval_1)
