@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ControlSchedule, asymptotic_verdict
+from .dynamics import ControlSchedule, _stepper, asymptotic_verdict
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 from .steady import Barrier, SteadyPath, build_steady_path, find_barrier_one, find_barrier_zero
@@ -74,17 +74,13 @@ def _run_leg(state_vals, nl, drift, geometry, target: GridProfile, gain: float,
     u_min, u_max = math.inf, -math.inf
     n_steps = max(1, int(round(budget / dt)))
     check = max(1, int(round(0.25 / dt)))
-    from .dynamics import _stepper  # shared cached operator
-
     st = _stepper(geometry, target.n, drift, nl, dt)
-    prof = GridProfile(geometry, vals)
     err = float(np.max(np.abs(vals - target.values)))
     for k in range(n_steps):
-        uL, uR = schedule.boundary_values(t_used, prof)
+        uL, uR = schedule.boundary_values(t_used, vals)
         u_min = min(u_min, uL, uR)
         u_max = max(u_max, uL, uR)
         vals = st.advance(vals, uL, uR)
-        prof = GridProfile(geometry, vals)
         t_used += dt
         if (k + 1) % check == 0 or k == n_steps - 1:
             err = float(np.max(np.abs(vals - target.values)))
@@ -118,8 +114,6 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     # Step 1: static zero control toward the trivial state
     gap = float(np.max(vals))
     if gap > delta1 / 2.0:
-        from .dynamics import _stepper
-
         st = _stepper(geometry, n, drift, nl, dt)
         budget = T_max
         check = max(1, int(round(0.5 / dt)))

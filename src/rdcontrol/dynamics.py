@@ -2,11 +2,13 @@
 
 IMEX scheme: diffusion and drift are implicit (one tridiagonal solve per
 step, the same spatial operator the steady solvers assemble), the
-reaction explicit.  Boundary rows are pinned to the control values,
-which are always clamped to [0, 1].  With controls and data in [0, 1]
-and dt * ||f'||_inf < 1 the update is monotone, so the discrete
-comparison principle and the invariant region survive exactly; discrete
-steady states are exact fixed points of the step.
+reaction explicit.  The implicit matrix is factored once per
+(grid, drift, dt) and every step reuses the factor.  Boundary rows are
+pinned to the control values, which are always clamped to [0, 1].
+With controls and data in [0, 1] and dt * ||f'||_inf < 1 the update is
+monotone, so the discrete comparison principle and the invariant region
+survive exactly; discrete steady states are exact fixed points of the
+step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import assemble_operator, solve_tridiagonal
+from .elliptic import assemble_operator, factor_tridiagonal, solve_tridiagonal
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile, lipschitz_and_sup_fprime
 
@@ -70,7 +72,7 @@ class ControlSchedule:
     def feedback(cls, target: GridProfile, gain: float) -> "ControlSchedule":
         return cls(kind="feedback", target=target, gain=float(gain))
 
-    def boundary_values(self, t: float, profile: GridProfile) -> tuple[float, float]:
+    def boundary_values(self, t: float, values: np.ndarray) -> tuple[float, float]:
         if self.kind == "static":
             u = min(max(self.value, 0.0), 1.0)
             return u, u
@@ -82,9 +84,8 @@ class ControlSchedule:
             u = min(max(u, 0.0), 1.0)
             return u, u
         tgt = self.target.values
-        state = profile.values
-        u_left = tgt[0] + self.gain * (tgt[1] - state[1])
-        u_right = tgt[-1] + self.gain * (tgt[-2] - state[-2])
+        u_left = tgt[0] + self.gain * (tgt[1] - values[1])
+        u_right = tgt[-1] + self.gain * (tgt[-2] - values[-2])
         return (min(max(float(u_left), 0.0), 1.0),
                 min(max(float(u_right), 0.0), 1.0))
 
@@ -113,7 +114,7 @@ def default_dt(nl: BistableNonlinearity, h: float) -> float:
 
 
 class _Stepper:
-    """Caches the factoring-ready implicit operator for fixed (grid, drift, dt)."""
+    """Holds the factored implicit operator for fixed (grid, drift, dt)."""
 
     def __init__(self, geometry: DomainGeometry, n: int, drift: DriftField,
                  nl: BistableNonlinearity, dt: float):
@@ -124,14 +125,15 @@ class _Stepper:
             raise InvalidInput(f"dt-too-large: dt*||f'|| = {dt * M:.3g} >= 1 "
                                "breaks the monotone reaction bound")
         lower, diag, upper, peclet = assemble_operator(geometry, n, drift)
-        self.lo = -dt * lower
-        self.di = 1.0 - dt * diag
-        self.up = -dt * upper
+        lo = -dt * lower
+        di = 1.0 - dt * diag
+        up = -dt * upper
         ball = geometry.kind == "ball"
         self.pin_left = not ball
-        self.lo[-1], self.di[-1], self.up[-1] = 0.0, 1.0, 0.0
+        lo[-1], di[-1], up[-1] = 0.0, 1.0, 0.0
         if self.pin_left:
-            self.lo[0], self.di[0], self.up[0] = 0.0, 1.0, 0.0
+            lo[0], di[0], up[0] = 0.0, 1.0, 0.0
+        self.factor = factor_tridiagonal(lo, di, up)
         self.dt = dt
         self.peclet = peclet
         self.geometry = geometry
@@ -143,10 +145,7 @@ class _Stepper:
         rhs[-1] = u_right
         if self.pin_left:
             rhs[0] = u_left
-        out = solve_tridiagonal(self.lo, self.di, self.up, rhs)
-        if not np.all(np.isfinite(out)):
-            raise SolverFailure("solver-failure: non-finite state after implicit solve")
-        return out
+        return solve_tridiagonal(self.factor, rhs)
 
 
 _STEPPER_CACHE: dict = {}
@@ -182,29 +181,28 @@ def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
     and the sup-distance to the three homogeneous states."""
     geometry = p0.geometry
     st = _stepper(geometry, p0.n, drift, nl, dt)
-    vals = p0.values.copy()
+    prof = GridProfile(geometry, p0.values.copy())
     n_steps = max(1, int(round(T / dt)))
     times = [0.0]
-    snaps = [GridProfile(geometry, vals.copy())]
-    dist = {0.0: [float(np.max(np.abs(vals)))],
-            nl.theta: [float(np.max(np.abs(vals - nl.theta)))],
-            1.0: [float(np.max(np.abs(vals - 1.0)))]}
+    snaps = [prof]
+    dist = {0.0: [float(np.max(np.abs(prof.values)))],
+            nl.theta: [float(np.max(np.abs(prof.values - nl.theta)))],
+            1.0: [float(np.max(np.abs(prof.values - 1.0)))]}
     controls = []
     t = 0.0
     for k in range(n_steps):
-        uL, uR = schedule.boundary_values(t, GridProfile(geometry, vals))
+        uL, uR = schedule.boundary_values(t, prof.values)
         controls.append((t, uL, uR))
-        vals = st.advance(vals, uL, uR)
+        prof = GridProfile(geometry, st.advance(prof.values, uL, uR))
         t = (k + 1) * dt
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
             times.append(t)
-            snaps.append(GridProfile(geometry, vals.copy()))
+            snaps.append(prof)
             for a in dist:
-                dist[a].append(float(np.max(np.abs(vals - a))))
+                dist[a].append(float(np.max(np.abs(prof.values - a))))
     return SimulationResult(times=np.asarray(times), snapshots=snaps,
                             sup_dist={a: np.asarray(v) for a, v in dist.items()},
-                            control_log=np.asarray(controls),
-                            final=GridProfile(geometry, vals))
+                            control_log=np.asarray(controls), final=prof)
 
 
 def asymptotic_verdict(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,

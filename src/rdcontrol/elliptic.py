@@ -14,13 +14,17 @@ regularized row Lap(p)(0) = 2 d (p_1 - p_0)/h^2 (symmetry, p'(0) = 0).
 
 The same assembly backs the elliptic Newton solver, the steady-state
 residual and the implicit part of the time stepper, so elliptic
-solutions are exact fixed points of the dynamics.
+solutions are exact fixed points of the dynamics.  Tridiagonal systems
+are LU-factored once per operator (LAPACK dgttrf); the time steppers and
+the inverse iteration reuse that factor for every right-hand side.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField
@@ -31,6 +35,8 @@ __all__ = [
     "apply_operator",
     "steady_residual",
     "newton_steady",
+    "TridiagonalFactor",
+    "factor_tridiagonal",
     "solve_tridiagonal",
 ]
 
@@ -94,16 +100,40 @@ def apply_operator(lower, diag, upper, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_tridiagonal(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
-    n = rhs.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except Exception as exc:  # singular / ill-conditioned matrix
-        raise SolverFailure(f"solver-failure: tridiagonal solve failed ({exc})") from exc
+class TridiagonalFactor(NamedTuple):
+    """LU factors of a tridiagonal matrix, as LAPACK dgttrf returns them."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+    info: int
+
+
+def factor_tridiagonal(lower, diag, upper) -> TridiagonalFactor:
+    """LU-factor a tridiagonal matrix once for :func:`solve_tridiagonal`.
+
+    ``lower[i]`` and ``upper[i]`` are the off-diagonals of row i, as
+    :func:`assemble_operator` returns them.  A singular matrix is reported
+    by the first solve.
+    """
+    return TridiagonalFactor(*dgttrf(lower[1:], diag, upper[:-1]))
+
+
+def solve_tridiagonal(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factor of :func:`factor_tridiagonal` (LAPACK dgttrs).
+
+    Raises SolverFailure when the matrix is singular or the solution is
+    not finite.
+    """
+    dl, d, du, du2, ipiv, info = factor
+    if info != 0:
+        raise SolverFailure(f"solver-failure: singular tridiagonal matrix (pivot {info})")
+    x, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
+    if not np.all(np.isfinite(x)):
+        raise SolverFailure("solver-failure: non-finite tridiagonal solution")
+    return x
 
 
 def _interior_rows(geometry: DomainGeometry, n: int):
@@ -174,7 +204,7 @@ def newton_steady(
         if not ball:
             jd[0] = 1.0
             ju[0] = 0.0
-        delta = solve_tridiagonal(jl, jd, ju, -res)
+        delta = solve_tridiagonal(factor_tridiagonal(jl, jd, ju), -res)
         step = 1.0
         for _ in range(40):
             trial = p + step * delta

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_tridiagonal
+from .elliptic import factor_tridiagonal, solve_tridiagonal
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile, lipschitz_and_sup_fprime
 
@@ -103,9 +103,9 @@ def weighted_lambda1(geometry: DomainGeometry, weight, n: int, tol: float = 1e-1
     u /= np.sqrt(u @ (mass * u))
     lam_prev = np.inf
     lam = 0.0
+    factor = factor_tridiagonal(lower, diag, upper)
     for it in range(1, max_iter + 1):
-        rhs = mass * u
-        v = solve_tridiagonal(lower, diag, upper, rhs)
+        v = solve_tridiagonal(factor, mass * u)
         ku = diag * v
         ku[1:] += lower[1:] * v[:-1]
         ku[:-1] += upper[:-1] * v[1:]

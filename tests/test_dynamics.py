@@ -124,9 +124,9 @@ class TestSimulate:
         assert np.all(log[log[:, 0] < 1.0, 1] == 0.2)
         assert np.all(log[log[:, 0] >= 1.0, 1] == 0.9)
 
-    def test_schedule_clamps(self, nl033, interval_1):
+    def test_schedule_clamps(self):
         sched = ControlSchedule.static(1.7)
-        assert sched.boundary_values(0.0, GridProfile(interval_1, np.zeros(11))) == (1.0, 1.0)
+        assert sched.boundary_values(0.0, np.zeros(11)) == (1.0, 1.0)
 
 
 class TestVerdicts:

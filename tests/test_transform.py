@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rdcontrol.errors import InvalidInput
+from rdcontrol import transform
+from rdcontrol.errors import InvalidInput, SolverFailure
 from rdcontrol.model import DomainGeometry, GridProfile
 from rdcontrol.transform import build_map, equivalence_check, tilde_f, tilde_nonlinearity
 
@@ -127,3 +128,22 @@ class TestEquivalence:
                                            T=2.0, dt=dt, snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5
+
+    def test_quasilinear_blow_up_is_gf_stiff(self, nl033):
+        # N = exp(5p) makes the explicit 2 N'/N |p'|^2 term explode at dt = 0.05
+        g = DomainGeometry.interval(1.0)
+        x = g.grid(41)
+        p0 = GridProfile(g, np.where(x < 0.5, 1.0, 0.0))
+        with pytest.raises(SolverFailure, match="gf-stiff"):
+            equivalence_check(nl033, lambda p: np.exp(5.0 * np.asarray(p, dtype=float)),
+                              g, p0, lambda t: 0.0, T=2.0, dt=0.05)
+
+    def test_non_finite_quasilinear_state_is_gf_stiff(self, nl033, monkeypatch):
+        def non_finite(factor, rhs):
+            raise SolverFailure("solver-failure: non-finite tridiagonal solution")
+
+        monkeypatch.setattr(transform, "solve_tridiagonal", non_finite)
+        g = DomainGeometry.interval(1.0)
+        p0 = GridProfile(g, np.full(41, 0.5))
+        with pytest.raises(SolverFailure, match="gf-stiff"):
+            equivalence_check(nl033, N_affine, g, p0, lambda t: 0.0, T=0.1, dt=0.01)
