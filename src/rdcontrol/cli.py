@@ -78,7 +78,7 @@ def _run_barriers(sc: Scenario) -> int:
 
     d = sc.geometry.d if sc.geometry.kind == "ball" else 1
     R = sc.geometry.inradius()
-    boundaries = [int(sc.extra.get("boundary", 0))] if "boundary" in sc.extra else [0, 1]
+    boundaries = [int(sc.raw.get("boundary", 0))] if "boundary" in sc.raw else [0, 1]
     events = {}
     for bv in boundaries:
         finder = find_barrier_one if bv == 1 else find_barrier_zero
@@ -92,13 +92,12 @@ def _run_barriers(sc: Scenario) -> int:
         events[tag] = {"exists": True, "residual": barrier.residual,
                        "p_min": barrier.p_min, "p_max": barrier.p_max,
                        "alpha": barrier.alpha}
-        if barrier.trajectory is not None:
-            tr = barrier.trajectory
-            write_csv(os.path.join(sc.out_dir, f"{tag}_trajectory.csv"), ["r", "p", "v"],
-                      zip(tr.r.tolist(), tr.p.tolist(), tr.v.tolist()), sc.raw)
-            events[tag]["events"] = {k: v for k, v in tr.events.items()}
-            phase_portrait(os.path.join(sc.out_dir, f"{tag}_phase.svg"), sc.nl, tr,
-                           title=f"boundary value {bv}")
+        tr = barrier.trajectory
+        write_csv(os.path.join(sc.out_dir, f"{tag}_trajectory.csv"), ["r", "p", "v"],
+                  zip(tr.r.tolist(), tr.p.tolist(), tr.v.tolist()), sc.raw)
+        events[tag]["events"] = {k: v for k, v in tr.events.items()}
+        phase_portrait(os.path.join(sc.out_dir, f"{tag}_phase.svg"), sc.nl, tr,
+                       title=f"boundary value {bv}")
     with open(os.path.join(sc.out_dir, "events.json"), "w") as fh:
         json.dump(events, fh, indent=2, sort_keys=True)
     print(json.dumps(events, sort_keys=True))
@@ -109,7 +108,7 @@ def _run_simulate(sc: Scenario) -> int:
     from .dynamics import ControlSchedule, simulate
     from .svgplot import line_plot
 
-    targets = sc.extra.get("targets", [0])
+    targets = sc.raw.get("targets", [0])
     verdicts = {}
     for entry in targets:
         # entries are targets a, or [a, p0] pairs for explicit starts
@@ -152,8 +151,8 @@ def _run_report(sc: Scenario) -> int:
     from .control import controllability_report
 
     rep = controllability_report(sc.nl, sc.drift, sc.geometry, n=sc.n, dt=sc.dt,
-                                 T_max=sc.T, delta1=float(sc.extra.get("delta1", 0.05)),
-                                 T1=float(sc.extra.get("T1", 20.0)))
+                                 T_max=sc.T, delta1=float(sc.raw.get("delta1", 0.05)),
+                                 T1=float(sc.raw.get("T1", 20.0)))
     out = {}
     rows = []
     for key, tv in rep.items():
@@ -172,9 +171,9 @@ def _run_report(sc: Scenario) -> int:
 def _run_mintime(sc: Scenario) -> int:
     from .control import mintime_scan
 
-    family = sc.extra.get("family")
-    sigmas = sc.extra.get("sigmas")
-    horizons = sc.extra.get("horizons", list(np.geomspace(1.0, 300.0, 24)))
+    family = sc.raw.get("family")
+    sigmas = sc.raw.get("sigmas")
+    horizons = sc.raw.get("horizons", list(np.geomspace(1.0, 300.0, 24)))
     if not family or not sigmas:
         raise InvalidInput("invalid-scenario: mintime-scan needs family and sigmas")
     results = mintime_scan(str(family), sigmas, sc.nl, sc.geometry, horizons,
@@ -209,7 +208,7 @@ def _run_eigen(sc: Scenario) -> int:
 def _run_energy(sc: Scenario) -> int:
     from .energy import energy_sigma, negative_energy_sigma_threshold, plateau_ramp_eta
 
-    delta = float(sc.extra.get("delta", sc.geometry.inradius() / 5.0))
+    delta = float(sc.raw.get("delta", sc.geometry.inradius() / 5.0))
     sigma_star, status = negative_energy_sigma_threshold(sc.nl, sc.drift, sc.geometry, delta,
                                                          n=sc.n)
     eta = plateau_ramp_eta(delta, sc.geometry, sc.n)

@@ -9,7 +9,8 @@ A scenario is a JSON object with the building blocks
      "p0": {"kind": "const", "value": 1.0},
      "experiment": "simulate", ...}
 
-or {"preset": "<name>", ...overrides}.  Every emitted CSV starts with a
+or {"preset": "<name>", ...overrides}.  A kind or key that nothing reads
+raises InvalidInput naming its path.  Every emitted CSV starts with a
 single-field meta row naming the scenario hash and the package version,
 so identical scenarios produce byte-identical artifacts.
 """
@@ -48,7 +49,6 @@ class Scenario:
     p0_spec: dict
     out_dir: str
     seed: int
-    extra: dict = field(repr=False, default_factory=dict)
 
     def initial_profile(self) -> GridProfile:
         kind = self.p0_spec.get("kind", "const")
@@ -66,18 +66,17 @@ class Scenario:
             data = np.loadtxt(path, delimiter=",", skiprows=1)
             x = self.geometry.grid(self.n)
             return GridProfile(self.geometry, np.interp(x, data[:, 0], data[:, 1]))
-        if kind == "barrier-seeded":
-            from .steady import find_barrier_one, find_barrier_zero
+        # kind "barrier-seeded"
+        from .steady import find_barrier_one, find_barrier_zero
 
-            bv = float(self.p0_spec.get("boundary", 0.0))
-            d = self.geometry.d if self.geometry.kind == "ball" else 1
-            finder = find_barrier_zero if bv == 0.0 else find_barrier_one
-            b = finder(self.nl, self.drift, self.drift.sigma,
-                       self.geometry.inradius(), d, n_grid=self.n)
-            if b is None:
-                raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
-            return b.profile
-        raise InvalidInput(f"invalid-scenario: unknown p0.kind {kind!r}")
+        bv = float(self.p0_spec.get("boundary", 0.0))
+        d = self.geometry.d if self.geometry.kind == "ball" else 1
+        finder = find_barrier_zero if bv == 0.0 else find_barrier_one
+        b = finder(self.nl, self.drift, self.drift.sigma,
+                   self.geometry.inradius(), d, n_grid=self.n)
+        if b is None:
+            raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
+        return b.profile
 
 
 def _need(obj: dict, key: str, ctx: str):
@@ -87,13 +86,10 @@ def _need(obj: dict, key: str, ctx: str):
 
 
 def _build_nl(spec: dict) -> BistableNonlinearity:
-    kind = spec.get("kind", "cubic")
-    if kind == "cubic":
+    if spec.get("kind", "cubic") == "cubic":
         return BistableNonlinearity.cubic(float(_need(spec, "theta", "f")))
-    if kind == "tabulated":
-        return BistableNonlinearity.tabulated(spec["p"], spec["values"],
-                                              float(_need(spec, "theta", "f")))
-    raise InvalidInput(f"invalid-scenario: f.kind {kind!r}")
+    return BistableNonlinearity.tabulated(spec["p"], spec["values"],
+                                          float(_need(spec, "theta", "f")))
 
 
 def _build_drift(spec: dict) -> DriftField:
@@ -103,24 +99,47 @@ def _build_drift(spec: dict) -> DriftField:
     if kind == "radial":
         return DriftField.radial(str(_need(spec, "family", "drift")),
                                  float(_need(spec, "sigma", "drift")))
-    if kind == "infection":
-        family = spec.get("family", "affine")
-        if family == "affine":
-            a = float(spec.get("a", 1.0))
-            b = float(spec.get("b", 1.0))
-            return DriftField.infection(lambda p: a + b * np.asarray(p, dtype=float))
+    family = spec.get("family", "affine")  # kind "infection"
+    if family != "affine":
         raise InvalidInput(f"invalid-scenario: drift.family {family!r} for infection")
-    raise InvalidInput(f"invalid-scenario: drift.kind {kind!r}")
+    a = float(spec.get("a", 1.0))
+    b = float(spec.get("b", 1.0))
+    return DriftField.infection(lambda p: a + b * np.asarray(p, dtype=float))
 
 
 def _build_geometry(spec: dict) -> DomainGeometry:
-    kind = spec.get("kind", "interval")
-    if kind == "interval":
+    if spec.get("kind", "interval") == "interval":
         return DomainGeometry.interval(float(_need(spec, "L", "domain")))
-    if kind == "ball":
-        return DomainGeometry.ball(float(_need(spec, "R", "domain")),
-                                   int(spec.get("d", 1)))
-    raise InvalidInput(f"invalid-scenario: domain.kind {kind!r}")
+    return DomainGeometry.ball(float(_need(spec, "R", "domain")), int(spec.get("d", 1)))
+
+
+# The kinds of each model block and the keys each kind may carry besides
+# "kind"; the first kind is the default.  load_scenario checks every block
+# against this before the builders above dispatch on the kind.
+_BLOCK_KEYS = {
+    "f": {"cubic": ("theta",), "tabulated": ("theta", "p", "values")},
+    "drift": {"homogeneous": (), "radial": ("family", "sigma"), "infection": ("family", "a", "b")},
+    "domain": {"interval": ("L",), "ball": ("R", "d")},
+    "p0": {"const": ("value",), "random": (), "profile": ("path",), "barrier-seeded": ("boundary",)},
+}
+# top-level keys the experiment runners read besides the model
+_EXTRA_KEYS = ("targets", "family", "sigmas", "horizons", "delta1", "T1", "delta", "boundary")
+_TOP_KEYS = {"experiment", "n", "dt", "T", "seed", "out", *_BLOCK_KEYS, *_EXTRA_KEYS}
+
+
+def _check_keys(merged: dict) -> None:
+    """Reject an unknown kind and every key that nothing reads, named by its path."""
+    unknown = [k for k in merged if k not in _TOP_KEYS]
+    for block, kinds in _BLOCK_KEYS.items():
+        spec = merged.get(block, {})
+        if not isinstance(spec, dict):
+            raise InvalidInput(f"invalid-scenario: {block} must be an object")
+        kind = spec.get("kind", next(iter(kinds)))
+        if kind not in kinds:
+            raise InvalidInput(f"invalid-scenario: {block}.kind {kind!r}")
+        unknown += [f"{block}.{k}" for k in spec if k != "kind" and k not in kinds[kind]]
+    if unknown:
+        raise InvalidInput(f"invalid-scenario: unknown key {', '.join(unknown)}")
 
 
 def scenario_hash(raw: dict) -> str:
@@ -143,6 +162,7 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
         merged = base
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
+    _check_keys(merged)
 
     experiment = merged.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -158,15 +178,10 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
     T = float(merged.get("T", 100.0))
     if dt <= 0.0 or T <= 0.0:
         raise InvalidInput("invalid-scenario: dt and T must be positive")
-    keys = ("f", "drift", "domain", "n", "dt", "T", "p0", "experiment", "seed",
-            "targets", "family", "sigmas", "horizons", "delta1", "T1", "weight",
-            "sigma_energy", "delta", "boundary", "eps_list", "c0", "d_laplace",
-            "gain", "snapshot_every", "N_infection")
-    extra = {k: v for k, v in merged.items() if k not in ("out",) and k in keys}
     return Scenario(raw=merged, nl=nl, drift=drift, geometry=geometry, n=n, dt=dt, T=T,
                     experiment=str(experiment), p0_spec=merged.get("p0", {"kind": "const", "value": 0.0}),
                     out_dir=out_dir or merged.get("out", "out"),
-                    seed=int(merged.get("seed", 0)), extra=extra)
+                    seed=int(merged.get("seed", 0)))
 
 
 def write_csv(path: str, header: list, rows, raw_scenario: dict) -> None:

@@ -9,9 +9,12 @@ upper_i > 0 (A is an M-matrix), so the centre value alpha and the
 symmetric centre row fix a profile.  The march runs outward for many
 alpha lanes at once.  For a barrier every edge of the feasible alpha set
 is multisected (Keller 1968) and a Newton solve pins the boundary node;
-a path member is the column marched from alpha = s theta with its last
-node as the boundary trace.  Either way the result is an exact fixed
-point of the package's own time stepper.
+the march is the whole search, because its columns are exact discrete
+steady states (the projected-gradient minimizer of ``rdcontrol.energy``,
+a test oracle, reaches the same boundary-0 barriers).  A path member is
+the column marched from alpha = s theta with its last node as the
+boundary trace.  Either way the result is an exact fixed point of the
+package's own time stepper.
 
 ``shoot_radial`` integrates the continuous problem
 p'' = -f(p) - ((2/sigma) b(r) + (d-1)/r) p', p(0) = alpha, p'(0) = 0 with
@@ -73,7 +76,7 @@ class Barrier:
     residual: float
     p_min: float
     p_max: float
-    alpha: Optional[float] = None  # centre value of the discrete march; None: energy route
+    alpha: float  # centre value the discrete march started from
     trajectory: Optional[RadialTrajectory] = field(default=None, repr=False)
 
     def deviation(self) -> float:
@@ -321,36 +324,30 @@ def _setup(drift: DriftField, sigma: float, R: float, d: int, n_grid: int):
     return geometry, drift_eff, (lower, diag, upper)
 
 
-def _settle(nl, drift_eff, geometry, seed, bv, alpha=None) -> Optional[Barrier]:
-    """Newton-polish a seed into a barrier pinned to ``bv``; None when
-    Newton fails or the result leaves [0, 1] or stays trivial."""
+def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrier]:
+    """Barrier seeded by the column marched from ``alpha``, extended by
+    ``bv`` past its reach node, mirrored onto an interval grid and
+    Newton-polished with the boundary pinned to ``bv``; None when Newton
+    fails or the result leaves [0, 1] or stays trivial."""
+    n = ops[0].size
+    column = _march(nl, geometry, ops, [alpha], bv, keep=True)[1][:, 0]
+    half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
+    half[:column.size] = column
     try:
-        vals, residual = newton_steady(geometry, drift_eff, nl, seed, bv, bv)
+        vals, residual = newton_steady(geometry, drift_eff, nl, _unfold(geometry, n, half), bv, bv)
     except SolverFailure:
         return None
     if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
         return None
     vals = np.clip(vals, 0.0, 1.0)
     barrier = Barrier(profile=GridProfile(geometry, vals), boundary_value=bv, residual=residual,
-                      p_min=float(np.min(vals)), p_max=float(np.max(vals)), alpha=alpha)
+                      p_min=float(np.min(vals)), p_max=float(np.max(vals)), alpha=float(alpha))
     return barrier if barrier.deviation() > NONTRIVIAL_MARGIN else None
-
-
-def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrier]:
-    """Barrier seeded by the column marched from ``alpha``, extended by
-    ``bv`` past its reach node and mirrored onto an interval grid."""
-    n = ops[0].size
-    column = _march(nl, geometry, ops, [alpha], bv, keep=True)[1][:, 0]
-    half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
-    half[:column.size] = column
-    return _settle(nl, drift_eff, geometry, _unfold(geometry, n, half), bv, alpha=float(alpha))
 
 
 def _with_trajectory(barrier, nl, drift, sigma, d, R, h) -> Barrier:
     """Attach the continuous shot from the search's alpha (the phase
     portrait and crossing radii), not from the profile's clipped centre."""
-    if barrier.alpha is None:
-        return barrier
     return replace(barrier, trajectory=shoot_radial(nl, drift, sigma, barrier.alpha, d,
                                                     1.02 * R, h))
 
@@ -392,45 +389,26 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
 
 def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
                       R: float, d: int, n_grid: int = 801, h: float = 1e-3) -> Optional[Barrier]:
-    """Barrier with boundary value 0, found by the discrete march from
-    alpha in (theta, 1) and cross-validated against the energy minimizer.
+    """Barrier with boundary value 0 on a domain of radius R, if any.
 
-    Every edge of the set of alphas whose column falls monotonically to 0
-    by the boundary node is multisected.  Of the admissible candidates
-    and the polished energy minimizer the profile with the smallest
-    residual is returned.  ``h`` only sets the step of the continuous
-    trajectory shot for the returned barrier.
+    Scans the centre value alpha over (theta, 1) with the discrete march
+    and multisects every edge of the set of alphas whose column falls
+    monotonically to 0 by the boundary node.  Of the admissible Newton
+    polishes (a band can have two edges) the one with the smallest
+    residual is returned.  Returns None when no column reaches 0.  ``h``
+    only sets the step of the continuous trajectory shot for the
+    returned barrier.
     """
     geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
     alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
     reach = _march(nl, geometry, ops, alphas, 0.0)[0]
     candidates = [_marched_barrier(nl, drift_eff, geometry, ops, a, 0.0)
                   for a in _edges(nl, geometry, ops, alphas, reach < n_grid, 0.0)]
-    candidates.append(_energy_route_barrier(nl, drift, drift_eff, sigma, geometry, n_grid))
     barriers = [b for b in candidates if b is not None]
     if not barriers:
         return None
     best = min(barriers, key=lambda b: b.residual)
     return _with_trajectory(best, nl, drift, sigma, d, R, h)
-
-
-def _energy_route_barrier(nl, drift, drift_eff, sigma, geometry, n_grid):
-    """Energy route of the boundary-0 search: projected-gradient descent
-    of the weighted energy from the plateau test function, then Newton."""
-    from .energy import minimize_energy_sigma, plateau_ramp_eta
-
-    try:
-        eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n_grid)
-    except InvalidInput:
-        return None
-    try:
-        prof, _ = minimize_energy_sigma(nl, drift, sigma, geometry, n_grid,
-                                        p_init=eta, max_iter=4000)
-    except SolverFailure:
-        return None
-    if float(np.max(prof.values)) <= NONTRIVIAL_MARGIN:
-        return None
-    return _settle(nl, drift_eff, geometry, prof.values, 0.0)
 
 
 def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: float,

@@ -43,6 +43,25 @@ class TestScenarioValidation:
         sc = load_scenario(frag)
         assert sc.nl.theta == 0.33
 
+    def test_unknown_keys_are_named(self):
+        from rdcontrol.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match=r"unknown key Tmax$"):
+            load_scenario({"preset": "fig6_strong", "Tmax": 5})
+        with pytest.raises(InvalidInput, match=r"unknown key jobs, domain\.foo$"):
+            load_scenario({"preset": "fig4_strong", "jobs": 4,
+                           "domain": {"kind": "interval", "L": 2.5, "foo": 1}})
+        for block in ({"f": {"kind": "cubic", "theta": 0.33, "values": [0.0]}},
+                      {"drift": {"kind": "homogeneous", "sigma": 1.0}},
+                      {"p0": {"kind": "const", "value": 0.5, "path": "p.csv"}}):
+            name = next(iter(block))
+            with pytest.raises(InvalidInput, match=rf"unknown key {name}\."):
+                load_scenario({"preset": "fig6_strong", **block})
+        with pytest.raises(InvalidInput, match="drift must be an object"):
+            load_scenario({"preset": "fig6_strong", "drift": "gauss_out"})
+        with pytest.raises(InvalidInput, match="p0.kind 'ramp'"):
+            load_scenario({"preset": "fig6_strong", "p0": {"kind": "ramp"}})
+
 
 class TestCsv:
     def test_meta_row_and_digits(self, tmp_path):
@@ -80,6 +99,11 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["eigen", "--scenario", str(bad)]) == 2
+
+    def test_exit_code_unknown_key(self, tmp_path, capsys):
+        assert main(["preset", "--scenario", _write_scenario(
+            tmp_path, {"preset": "fig6_strong", "Tmax": 5})]) == 2
+        assert "unknown key Tmax" in capsys.readouterr().err
 
     def test_exit_code_empty_experiment(self, tmp_path):
         assert main(["preset", "--scenario", _write_scenario(

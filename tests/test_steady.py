@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import F_quad, homogeneous_critical_length, rk4_fixed
 from rdcontrol.elliptic import steady_residual
-from rdcontrol.model import DomainGeometry, DriftField
+from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField
 from rdcontrol.steady import (
     build_steady_path,
     critical_radius_R_star,
@@ -220,6 +222,35 @@ class TestDiscreteSearch:
         assert b.alpha == lower
         assert b.p_min == pytest.approx(0.0298003422, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [201, 801])
+    def test_energy_minimizer_oracle_zero(self, nl033, gauss_out, n):
+        # independent route to a boundary-0 barrier: projected-gradient
+        # descent of the weighted energy from the plateau test function,
+        # then Newton.  It lands on the upper edge of the band (alpha near
+        # 0.98861); the search returns the lower edge, whose residual is
+        # smaller
+        from rdcontrol import steady
+        from rdcontrol.elliptic import newton_steady
+        from rdcontrol.energy import minimize_energy_sigma, plateau_ramp_eta
+
+        geometry, drift_eff, ops = steady._setup(gauss_out, SIGMA_STRONG, 2.5, 1, n)
+        alphas = np.linspace(0.33 + 0.01, 1.0 - 1e-6, 64)
+        reach = steady._march(nl033, geometry, ops, alphas, 0.0)[0]
+        lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < n, 0.0)
+        assert upper == pytest.approx(0.98861, abs=1e-4)
+        marched = steady._marched_barrier(nl033, drift_eff, geometry, ops, upper, 0.0)
+
+        eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
+        prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, geometry, n,
+                                        p_init=eta, max_iter=4000)
+        vals, _ = newton_steady(geometry, drift_eff, nl033, prof.values, 0.0, 0.0)
+        assert np.max(np.abs(vals - marched.profile.values)) <= 1e-9
+
+        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 1, n_grid=n)
+        assert b.alpha == lower
+        if n == 801:
+            assert b.p_max == pytest.approx(0.3469595158, abs=1e-9)
+
     def test_marched_seed_is_exact_before_newton(self, nl033, gauss_out, monkeypatch):
         from rdcontrol import steady
 
@@ -242,6 +273,23 @@ class TestDiscreteSearch:
         for finder in (find_barrier_one, find_barrier_zero):
             with pytest.raises(InvalidInput, match="transform-check"):
                 finder(nl033, drift, 1.0, 1.0, 1)
+
+
+class TestBarrierProperties:
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25),
+           n=st.sampled_from([201, 401]))
+    def test_returned_barriers_are_admissible_fixed_points(self, theta, sigma, n):
+        nl = BistableNonlinearity.cubic(theta)
+        drift = DriftField.radial("gauss_out", sigma)
+        for finder in (find_barrier_zero, find_barrier_one):
+            b = finder(nl, drift, sigma, 2.5, 1, n_grid=n)
+            if b is None:
+                continue
+            assert steady_residual(b.profile.geometry, drift, nl, b.profile.values) <= 1e-9
+            assert np.min(b.profile.values) >= 0.0 and np.max(b.profile.values) <= 1.0
+            assert isinstance(b.alpha, float)
+            assert b.trajectory is not None
 
 
 class TestCriticalRadius:
