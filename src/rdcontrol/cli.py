@@ -45,7 +45,11 @@ def _overrides(args) -> dict:
     if getattr(args, "family", None):
         out["family"] = args.family
     if getattr(args, "sigmas", None):
-        out["sigmas"] = [float(s) for s in args.sigmas.split(",")]
+        try:
+            out["sigmas"] = [float(s) for s in args.sigmas.split(",")]
+        except ValueError:
+            raise InvalidInput(f"invalid-scenario: --sigmas must be comma-separated "
+                               f"numbers, got {args.sigmas!r}") from None
     if getattr(args, "experiment", None):
         out["experiment"] = args.experiment
     return out

@@ -4,10 +4,17 @@ minimal-time scans.
 
 The staircase walks the path built by :func:`steady.build_steady_path`.
 Each leg applies clamped boundary feedback toward the next member's
-boundary trace; a leg succeeds once the sup-error to its target drops
-below half the staircase tolerance, so errors cannot accumulate from
-leg to leg.  Exact local controllability is replaced by this feedback
-surrogate; the clamp enforces the [0, 1] control constraint exactly.
+boundary trace; a leg succeeds at the first step whose sup-error to its
+target is below half the staircase tolerance, so errors cannot
+accumulate from leg to leg.  Exact local controllability is replaced by
+this feedback surrogate; the clamp enforces the [0, 1] control
+constraint exactly.
+
+Because the sup-error is checked after every step, a leg's success step
+does not depend on its budget.  The minimal time is therefore read off
+one staircase run at the largest horizon: each smaller horizon replays
+the budget bookkeeping on the recorded legs, with no bisection and no
+further time stepping.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
 class LegRecord:
     index: int
     s_target: float
+    steps: int              # time steps to the first in-tolerance step (the budget on a stall)
     duration: float
     sup_error: float
     control_min: float
@@ -66,27 +74,25 @@ class MinTimeResult:
 
 def _run_leg(state_vals, nl, drift, geometry, target: GridProfile, gain: float,
              budget: float, dt: float, tol: float):
-    """Feedback leg toward a steady target; returns (values, time_used,
-    success, err, u_min, u_max)."""
+    """Feedback leg toward a steady target, ending at the first step whose
+    sup-error is within tol; returns (values, steps, time_used, success,
+    err, u_min, u_max)."""
     schedule = ControlSchedule.feedback(target, gain)
     vals = state_vals
     t_used = 0.0
     u_min, u_max = math.inf, -math.inf
     n_steps = max(1, int(round(budget / dt)))
-    check = max(1, int(round(0.25 / dt)))
     st = _stepper(geometry, target.n, drift, nl, dt)
-    err = float(np.max(np.abs(vals - target.values)))
     for k in range(n_steps):
         uL, uR = schedule.boundary_values(t_used, vals)
         u_min = min(u_min, uL, uR)
         u_max = max(u_max, uL, uR)
         vals = st.advance(vals, uL, uR)
         t_used += dt
-        if (k + 1) % check == 0 or k == n_steps - 1:
-            err = float(np.max(np.abs(vals - target.values)))
-            if err <= tol:
-                return vals, t_used, True, err, u_min, u_max
-    return vals, t_used, False, err, u_min, u_max
+        err = float(np.max(np.abs(vals - target.values)))
+        if err <= tol:
+            return vals, k + 1, t_used, True, err, u_min, u_max
+    return vals, n_steps, t_used, False, err, u_min, u_max
 
 
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
@@ -154,12 +160,12 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
             return StaircaseResult(False, total, stage=f"leg{i}", reason="budget-exhausted",
                                    terminal_error=math.inf, legs=tuple(legs),
                                    control_min=u_min, control_max=u_max, path=path)
-        vals, used, ok, err, lo, hi = _run_leg(vals, nl, drift, geometry, target, gain,
-                                               min(T1, remaining), dt, delta1 / 2.0)
+        vals, steps, used, ok, err, lo, hi = _run_leg(vals, nl, drift, geometry, target, gain,
+                                                      min(T1, remaining), dt, delta1 / 2.0)
         total += used
         u_min, u_max = min(u_min, lo), max(u_max, hi)
-        legs.append(LegRecord(index=i, s_target=float(path.s_values[i]), duration=used,
-                              sup_error=err, control_min=lo, control_max=hi))
+        legs.append(LegRecord(index=i, s_target=float(path.s_values[i]), steps=steps,
+                              duration=used, sup_error=err, control_min=lo, control_max=hi))
         if not ok:
             return StaircaseResult(False, total, stage=f"leg{i}", reason="leg-stall",
                                    terminal_error=err, legs=tuple(legs),
@@ -228,13 +234,17 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
                           gain: float = 1.0) -> MinTimeResult:
     """Smallest feasible horizon on the grid for controlling 0 to theta.
 
-    A horizon T is feasible when the staircase (per-leg budget scaled to
-    fit T) succeeds within T.  Feasibility is monotone in T; the binary
-    search asserts the monotonicity of everything it probes.
+    A horizon T is feasible when the staircase with per-leg budget T/n_legs
+    and total budget T succeeds within T.  The staircase runs once, at the
+    largest horizon; every horizon is then decided exactly from its
+    recorded legs (:func:`_fits`), so there is no bisection and
+    feasibility is never assumed monotone in T.
     """
     horizons = np.sort(np.asarray(horizon_grid, dtype=float))
-    if horizons.size == 0 or np.any(horizons <= 0.0):
-        raise InvalidInput("invalid-grid: horizons must be positive")
+    if horizons.size == 0:
+        raise InvalidInput("invalid-grid: horizons must be non-empty")
+    if not np.all(np.isfinite(horizons)) or horizons[0] <= 0.0:
+        raise InvalidInput("invalid-grid: horizons must be finite and positive")
     zeros = GridProfile(geometry, np.zeros(n))
     try:
         path = build_steady_path(nl, drift, geometry, K=9, delta=delta1 / 2.0, n_grid=n)
@@ -245,38 +255,24 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
         return MinTimeResult(parameter=drift.sigma, T_min=math.inf,
                              strategy="staircase (path inadmissible)")
     n_legs = max(1, len(path) - 1)
-    probed: dict[float, bool] = {}
-
-    def feasible(T: float) -> bool:
-        if T not in probed:
-            res = staircase_to_theta(zeros, nl, drift, geometry, delta1=delta1,
-                                     T1=T / n_legs, T_max=T, dt=dt, gain=gain, path=path)
-            probed[T] = bool(res.success and res.total_time <= T + 1e-9)
-        return probed[T]
-
-    lo, hi = 0, horizons.size - 1
-    if not feasible(horizons[hi]):
-        _assert_monotone(probed)
-        return MinTimeResult(parameter=drift.sigma, T_min=math.inf, strategy="staircase")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(horizons[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    _assert_monotone(probed)
-    return MinTimeResult(parameter=drift.sigma, T_min=float(horizons[lo]), strategy="staircase")
+    T_top = horizons[-1]
+    run = staircase_to_theta(zeros, nl, drift, geometry, delta1=delta1, T1=T_top / n_legs,
+                             T_max=T_top, dt=dt, gain=gain, path=path)
+    feasible = [T for T in horizons if run.success and _fits(run.legs, T, n_legs, dt)]
+    return MinTimeResult(drift.sigma, float(feasible[0]) if feasible else math.inf, "staircase")
 
 
-def _assert_monotone(probed: dict) -> None:
-    items = sorted(probed.items())
-    best_true = math.inf
-    for T, ok in items:
-        if ok:
-            best_true = min(best_true, T)
-    for T, ok in items:
-        if T > best_true and not ok:
-            raise SolverFailure(f"solver-failure: feasibility not monotone at T={T}")
+def _fits(legs, T: float, n_legs: int, dt: float) -> bool:
+    """Whether the staircase from 0 succeeds within horizon T, replayed from
+    the legs of a successful run at a larger horizon with the same floats
+    as staircase_to_theta's budget bookkeeping."""
+    total = 0.0
+    for leg in legs:
+        remaining = T - total
+        if remaining <= dt or leg.steps > max(1, int(round(min(T / n_legs, remaining) / dt))):
+            return False
+        total += leg.duration
+    return total <= T + 1e-9
 
 
 def mintime_scan(drift_family: str, sigma_grid, nl: BistableNonlinearity,

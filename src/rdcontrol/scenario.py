@@ -54,13 +54,13 @@ class Scenario:
         kind = self.p0_spec.get("kind", "const")
         if kind == "const":
             return GridProfile(self.geometry,
-                               np.full(self.n, float(self.p0_spec.get("value", 0.0))))
+                               np.full(self.n, _num(self.p0_spec, "value", "p0", 0.0)))
         if kind == "random":
             rng = np.random.default_rng(self.seed)
             vals = rng.uniform(0.0, 1.0, self.n)
             return GridProfile(self.geometry, vals)
         if kind == "profile":
-            path = self.p0_spec["path"]
+            path = str(_need(self.p0_spec, "path", "p0"))
             if not os.path.exists(path):
                 raise InvalidInput(f"invalid-scenario: p0.path not found: {path}")
             data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -69,7 +69,7 @@ class Scenario:
         # kind "barrier-seeded"
         from .steady import find_barrier_one, find_barrier_zero
 
-        bv = float(self.p0_spec.get("boundary", 0.0))
+        bv = _num(self.p0_spec, "boundary", "p0", 0.0)
         d = self.geometry.d if self.geometry.kind == "ball" else 1
         finder = find_barrier_zero if bv == 0.0 else find_barrier_one
         b = finder(self.nl, self.drift, self.drift.sigma,
@@ -85,11 +85,41 @@ def _need(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _num(spec: dict, key: str, ctx: str, default=None, cast=float):
+    """spec[key] (default when absent and given) as a finite number of type
+    cast; InvalidInput names the key's path otherwise."""
+    name = f"{ctx}.{key}" if ctx else key
+    value = _need(spec, key, ctx or "scenario") if default is None else spec.get(key, default)
+    try:
+        x = cast(value)
+        if not math.isfinite(x):
+            raise ValueError
+        return x
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"invalid-scenario: {name} must be a finite number, "
+                           f"got {value!r}") from None
+
+
+def _numbers(spec: dict, key: str, ctx: str) -> np.ndarray:
+    """spec[key] as a 1-d float array; InvalidInput names the key's path otherwise."""
+    name = f"{ctx}.{key}" if ctx else key
+    value = _need(spec, key, ctx or "scenario")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise InvalidInput(f"invalid-scenario: {name} must be a list of numbers, "
+                           f"got {value!r}")
+    return arr
+
+
 def _build_nl(spec: dict) -> BistableNonlinearity:
+    theta = _num(spec, "theta", "f")
     if spec.get("kind", "cubic") == "cubic":
-        return BistableNonlinearity.cubic(float(_need(spec, "theta", "f")))
-    return BistableNonlinearity.tabulated(spec["p"], spec["values"],
-                                          float(_need(spec, "theta", "f")))
+        return BistableNonlinearity.cubic(theta)
+    return BistableNonlinearity.tabulated(_numbers(spec, "p", "f"),
+                                          _numbers(spec, "values", "f"), theta)
 
 
 def _build_drift(spec: dict) -> DriftField:
@@ -98,19 +128,19 @@ def _build_drift(spec: dict) -> DriftField:
         return DriftField.homogeneous()
     if kind == "radial":
         return DriftField.radial(str(_need(spec, "family", "drift")),
-                                 float(_need(spec, "sigma", "drift")))
+                                 _num(spec, "sigma", "drift"))
     family = spec.get("family", "affine")  # kind "infection"
     if family != "affine":
         raise InvalidInput(f"invalid-scenario: drift.family {family!r} for infection")
-    a = float(spec.get("a", 1.0))
-    b = float(spec.get("b", 1.0))
+    a = _num(spec, "a", "drift", 1.0)
+    b = _num(spec, "b", "drift", 1.0)
     return DriftField.infection(lambda p: a + b * np.asarray(p, dtype=float))
 
 
 def _build_geometry(spec: dict) -> DomainGeometry:
     if spec.get("kind", "interval") == "interval":
-        return DomainGeometry.interval(float(_need(spec, "L", "domain")))
-    return DomainGeometry.ball(float(_need(spec, "R", "domain")), int(spec.get("d", 1)))
+        return DomainGeometry.interval(_num(spec, "L", "domain"))
+    return DomainGeometry.ball(_num(spec, "R", "domain"), _num(spec, "d", "domain", 1, int))
 
 
 # The kinds of each model block and the keys each kind may carry besides
@@ -171,17 +201,24 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
     nl = _build_nl(merged.get("f", {"kind": "cubic", "theta": 0.33}))
     drift = _build_drift(merged.get("drift", {"kind": "homogeneous"}))
     geometry = _build_geometry(_need(merged, "domain", "scenario"))
-    n = int(merged.get("n", 201))
+    n = _num(merged, "n", "", 201, int)
     if n < 16 or n > 100001:
         raise InvalidInput(f"invalid-scenario: n={n} outside [16, 100001]")
-    dt = float(merged.get("dt", 0.02))
-    T = float(merged.get("T", 100.0))
+    dt = _num(merged, "dt", "", 0.02)
+    T = _num(merged, "T", "", 100.0)
     if dt <= 0.0 or T <= 0.0:
         raise InvalidInput("invalid-scenario: dt and T must be positive")
+    # numeric keys the experiment runners read: checked here so a bad value exits 2
+    for key in ("delta1", "T1", "delta", "boundary"):
+        if key in merged:
+            _num(merged, key, "")
+    for key in ("sigmas", "horizons"):
+        if key in merged:
+            _numbers(merged, key, "")
     return Scenario(raw=merged, nl=nl, drift=drift, geometry=geometry, n=n, dt=dt, T=T,
                     experiment=str(experiment), p0_spec=merged.get("p0", {"kind": "const", "value": 0.0}),
                     out_dir=out_dir or merged.get("out", "out"),
-                    seed=int(merged.get("seed", 0)))
+                    seed=_num(merged, "seed", "", 0, int))
 
 
 def write_csv(path: str, header: list, rows, raw_scenario: dict) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ class TestScenarioValidation:
             load_scenario({"preset": "fig6_strong", "drift": "gauss_out"})
         with pytest.raises(InvalidInput, match="p0.kind 'ramp'"):
             load_scenario({"preset": "fig6_strong", "p0": {"kind": "ramp"}})
+
+    def test_malformed_values_are_named(self, tmp_path):
+        from rdcontrol.errors import InvalidInput
+
+        for block, match in (({"f": {"kind": "tabulated", "theta": 0.33}}, "missing field f.p"),
+                             ({"n": "abc"}, "n must be a finite number"),
+                             ({"dt": "x"}, "dt must be a finite number"),
+                             ({"n": math.inf}, "n must be a finite number"),
+                             ({"T": math.nan}, "T must be a finite number"),
+                             ({"drift": {"kind": "radial", "family": "sin", "sigma": "x"}},
+                              r"drift\.sigma must be a finite number"),
+                             ({"horizons": "abc"}, "horizons must be a list of numbers"),
+                             ({"sigmas": [1, "x"]}, "sigmas must be a list of numbers")):
+            with pytest.raises(InvalidInput, match=match):
+                load_scenario({"preset": "mintime_gauss_in", **block})
+        sc = load_scenario({"preset": "fig6_strong", "p0": {"kind": "profile"}})
+        with pytest.raises(InvalidInput, match="missing field p0.path"):
+            sc.initial_profile()
+
+    def test_tabulated_f_loads(self):
+        p = np.union1d(np.linspace(0.0, 1.0, 33), [0.33])
+        sc = load_scenario({"preset": "fig6_strong",
+                            "f": {"kind": "tabulated", "theta": 0.33, "p": p.tolist(),
+                                  "values": (p * (1 - p) * (p - 0.33)).tolist()}})
+        assert sc.nl.kind == "tabulated"
 
 
 class TestCsv:
@@ -154,6 +180,26 @@ class TestCommands:
         assert lines[1] == "sigma,T_min"
         vals = [float(x.split(",")[1]) for x in lines[2:]]
         assert vals[1] <= vals[0]
+
+    @pytest.mark.parametrize("block, message", [
+        ({"horizons": [10.0, math.inf]}, "horizons must be finite and positive"),
+        ({"horizons": [10.0, math.nan]}, "horizons must be finite and positive"),
+        ({"horizons": []}, "horizons must be non-empty"),
+        ({"horizons": "abc"}, "horizons must be a list of numbers"),
+        ({"sigmas": [1, "x"]}, "sigmas must be a list of numbers"),
+        ({"f": {"kind": "tabulated", "theta": 0.33}}, "missing field f.p"),
+        ({"n": "abc"}, "n must be a finite number"),
+        ({"dt": "x"}, "dt must be a finite number")])
+    def test_exit_code_bad_mintime_values(self, tmp_path, capsys, block, message):
+        sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5], **block})
+        assert main(["preset", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_exit_code_bad_sigmas_flag(self, tmp_path, capsys):
+        sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in"})
+        assert main(["mintime", "--scenario", sc, "--sigmas", "1,x",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--sigmas must be comma-separated numbers" in capsys.readouterr().err
 
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,8 @@ from rdcontrol.control import (
 )
 from rdcontrol.errors import InvalidInput
 from rdcontrol.model import DomainGeometry, DriftField, GridProfile
+from rdcontrol.scenario import load_scenario
+from rdcontrol.steady import build_steady_path
 
 
 class TestStaircase:
@@ -41,6 +43,22 @@ class TestStaircase:
         assert res.stage == "step1"
         assert res.reason == "barrier-to-0"
 
+    def test_leg_success_step_does_not_depend_on_budget(self, nl033, homog, interval_1):
+        # the sup-error is checked after every step, so a leg that succeeds
+        # under a long budget succeeds at the same step under any budget
+        # that reaches that step
+        p0 = GridProfile(interval_1, np.zeros(101))
+        long = staircase_to_theta(p0, nl033, homog, interval_1, T1=20.0, T_max=400.0)
+        assert long.success
+        tight = max(leg.steps for leg in long.legs) * 0.02
+        short = staircase_to_theta(p0, nl033, homog, interval_1, T1=tight, T_max=400.0)
+        assert short.success
+        assert [leg.steps for leg in short.legs] == [leg.steps for leg in long.legs]
+        assert short.total_time == long.total_time
+        for leg in long.legs:
+            assert leg.sup_error <= 0.025
+            assert leg.duration == pytest.approx(leg.steps * 0.02, abs=1e-12)
+
     def test_controls_always_admissible(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.ones(101))
         res = staircase_to_theta(p0, nl033, homog, interval_1, delta1=0.05,
@@ -57,6 +75,17 @@ class TestReport:
         assert rep["to_zero"].status == "converged"
         assert rep["to_one"].status == "converged"
         assert rep["to_theta"].status == "converged"
+
+    def test_unblocking_preset_theta_time(self):
+        # every leg ends at its first in-tolerance step
+        sc = load_scenario({"preset": "unblocking"})
+        rep = controllability_report(sc.nl, sc.drift, sc.geometry, n=sc.n, dt=sc.dt,
+                                     T_max=sc.T)
+        tv = rep["to_theta"]
+        assert tv.status == "converged"
+        assert tv.time == pytest.approx(4.54, abs=1e-9)
+        assert tv.detail.legs
+        assert all(leg.sup_error <= 0.05 / 2.0 for leg in tv.detail.legs)
 
     def test_double_blocking_regime(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
@@ -119,6 +148,35 @@ class TestMinTime:
         assert all(t2 >= t1 for t1, t2 in zip(finite, finite[1:]))  # blow-up
         assert times[-1] == math.inf  # +inf tail
         assert times == pytest.approx([93.146, 118.419, 191.398, math.inf], abs=1e-3)
+
+    @pytest.mark.parametrize("family, sigma", [("gauss_in", 0.625), ("sin", 0.25),
+                                               ("gauss_out", 8.0), ("abs_exp", 1.0)])
+    def test_equals_direct_staircase_at_every_horizon(self, nl033, family, sigma):
+        # the replay from one recorded staircase picks the same horizon as a
+        # direct staircase run at each horizon of the grid
+        g = DomainGeometry.interval(2.5)
+        drift = DriftField.radial(family, sigma)
+        grid = np.geomspace(2.0, 300.0, 36)
+        path = build_steady_path(nl033, drift, g, K=9, delta=0.025, n_grid=101)
+        n_legs = len(path) - 1
+        zeros = GridProfile(g, np.zeros(101))
+        direct = []
+        for T in grid:
+            res = staircase_to_theta(zeros, nl033, drift, g, delta1=0.05, T1=T / n_legs,
+                                     T_max=T, dt=0.02, path=path)
+            direct.append(bool(res.success and res.total_time <= T + 1e-9))
+        assert direct == sorted(direct)  # direct feasibility is monotone in T
+        assert 0 < direct.index(True)    # the grid brackets the minimal time
+        res = minimal_time_to_theta(nl033, drift, g, list(grid), n=101, dt=0.02)
+        assert res.T_min == grid[direct.index(True)]
+
+    @pytest.mark.parametrize("grid, match", [([10.0, math.inf], "finite and positive"),
+                                             ([10.0, math.nan], "finite and positive"),
+                                             ([10.0, 0.0], "finite and positive"),
+                                             ([], "non-empty")])
+    def test_bad_horizons(self, nl033, interval_1, grid, match):
+        with pytest.raises(InvalidInput, match=match):
+            minimal_time_to_theta(nl033, DriftField.homogeneous(), interval_1, grid)
 
     def test_invalid_family(self, nl033, interval_1):
         with pytest.raises(InvalidInput, match="invalid-family"):
