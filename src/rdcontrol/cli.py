@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiments (barriers, simulate, report, eigen,
 energy, mintime, transform-check) plus ``preset <name>``; every run is
-scenario-driven and deterministic.  Exit codes: 0 ok, 2 configuration
-problem, 3 numerical failure.
+scenario-driven and deterministic.  Static-control verdicts come from
+:func:`rdcontrol.dynamics.verdict`.  Exit codes: 0 ok, 2 configuration
+problem, 3 numerical failure (horizon-too-short included).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _run_barriers(sc: Scenario) -> int:
 
 
 def _run_simulate(sc: Scenario) -> int:
-    from .dynamics import ControlSchedule, simulate
+    from .dynamics import ControlSchedule, simulate, verdict
     from .svgplot import line_plot
 
     targets = sc.raw.get("targets", [0])
@@ -132,19 +133,14 @@ def _run_simulate(sc: Scenario) -> int:
             for x, p in zip(snap.x, snap.values):
                 rows.append((float(t), float(x), float(p)))
         write_csv(os.path.join(sc.out_dir, f"simulate_to_{tag}.csv"), ["t", "x", "p"], rows, sc.raw)
-        dist = np.max(np.abs(sim.final.values - a))
-        final_gap = float(dist)
-        tail_move = float(np.max(np.abs(sim.snapshots[-1].values
-                                        - sim.snapshots[max(0, len(sim.snapshots) * 9 // 10)].values)))
-        status = ("converged" if final_gap < 1e-3 else
-                  "blocked" if tail_move < 1e-4 else "indeterminate")
-        verdicts[tag] = {"status": status,
-                         "time": float(sim.times[-1]) if status == "converged" else None,
-                         "residual_sup": final_gap, "tail_move": tail_move}
         series = [(snap.x, snap.values, f"rgb({int(200*k/max(1,len(sim.snapshots)-1))},0,0)", "")
                   for k, snap in enumerate(sim.snapshots)]
         line_plot(os.path.join(sc.out_dir, f"simulate_to_{tag}.svg"), series,
                   title=f"static control u = {a}", xlabel="x", ylabel="p")
+        v = verdict(((t, snap.values) for t, snap in zip(sim.times, sim.snapshots)),
+                    a, sc.T, sc.geometry)
+        verdicts[tag] = {"status": v.status, "time": v.time,
+                         "residual_sup": v.residual_sup, "tail_move": v.stall}
     with open(os.path.join(sc.out_dir, "verdict.json"), "w") as fh:
         json.dump(verdicts, fh, indent=2, sort_keys=True)
     print(json.dumps(verdicts, sort_keys=True))

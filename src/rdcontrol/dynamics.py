@@ -30,6 +30,7 @@ __all__ = [
     "default_dt",
     "step",
     "simulate",
+    "verdict",
     "asymptotic_verdict",
 ]
 
@@ -94,17 +95,17 @@ class ControlSchedule:
 class SimulationResult:
     times: np.ndarray
     snapshots: list
-    sup_dist: dict          # distance to the constants 0, theta, 1 over time
     control_log: np.ndarray  # rows (t, u_left, u_right)
-    final: GridProfile
 
 
 @dataclass(frozen=True)
 class Verdict:
     status: str  # "converged" | "blocked"
-    time: Optional[float]
-    residual_sup: float
-    residual_profile: Optional[GridProfile]
+    time: Optional[float]    # first converged check; None when blocked
+    residual_sup: float      # gap sup|p - a| at that check, or at the horizon
+    residual_profile: Optional[GridProfile]  # final state when blocked
+    stall: Optional[float]   # sup-move over the last tenth when blocked
+    horizon: float
 
 
 def default_dt(nl: BistableNonlinearity, h: float) -> float:
@@ -177,17 +178,13 @@ def step(state: PdeState, nl: BistableNonlinearity, u_left: float, u_right: floa
 def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
              schedule: ControlSchedule, T: float, dt: float,
              snapshot_every: int = 10) -> SimulationResult:
-    """March the controlled equation to time T, keeping periodic snapshots
-    and the sup-distance to the three homogeneous states."""
+    """March the controlled equation to time T, keeping periodic snapshots."""
     geometry = p0.geometry
     st = _stepper(geometry, p0.n, drift, nl, dt)
     prof = GridProfile(geometry, p0.values.copy())
     n_steps = max(1, int(round(T / dt)))
     times = [0.0]
     snaps = [prof]
-    dist = {0.0: [float(np.max(np.abs(prof.values)))],
-            nl.theta: [float(np.max(np.abs(prof.values - nl.theta)))],
-            1.0: [float(np.max(np.abs(prof.values - 1.0)))]}
     controls = []
     t = 0.0
     for k in range(n_steps):
@@ -198,46 +195,51 @@ def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
             times.append(t)
             snaps.append(prof)
-            for a in dist:
-                dist[a].append(float(np.max(np.abs(prof.values - a))))
     return SimulationResult(times=np.asarray(times), snapshots=snaps,
-                            sup_dist={a: np.asarray(v) for a, v in dist.items()},
-                            control_log=np.asarray(controls), final=prof)
+                            control_log=np.asarray(controls))
 
 
-def asymptotic_verdict(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       a: float, T_max: float, dt: float, tol: float = 1e-3) -> Verdict:
-    """Run the static control u = a and classify the long-time behaviour.
+def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
+            tol: float = 1e-3) -> Verdict:
+    """The one verdict rule for a run of the static control u = a.
 
-    converged: sup|p - a| < tol at some time (reported).
-    blocked:   the state stalled (sup-change over the last 10% of the
-               horizon < tol/10) while still tol-far from the target.
+    ``checks`` yields the checked states (t, values) in time order, the
+    last at t = horizon, and is consumed only up to the verdict.
+    converged: the first check with gap sup|p - a| < tol.
+    blocked:   still tol-far at the horizon, and moved < tol/10 since
+               the first check at t >= 0.9 horizon.
     Anything else raises horizon-too-short.
     """
     if tol <= 0.0:
         raise InvalidInput("invalid-scalar: tol must be positive")
-    geometry = p0.geometry
-    st = _stepper(geometry, p0.n, drift, nl, dt)
+    mark = None
+    for t, vals in checks:
+        gap = float(np.max(np.abs(vals - a)))
+        if gap < tol:
+            return Verdict("converged", float(t), gap, None, None, horizon)
+        if mark is None and t >= 0.9 * horizon:
+            mark = vals
+    stall = float(np.max(np.abs(vals - mark))) if mark is not None else np.inf
+    if stall < tol / 10.0:
+        return Verdict("blocked", None, gap, GridProfile(geometry, vals), stall, horizon)
+    raise SolverFailure(f"horizon-too-short: neither converged (gap {gap:.3g}) "
+                        f"nor stalled (stall {stall:.3g}) by T={horizon}")
+
+
+def asymptotic_verdict(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
+                       a: float, T_max: float, dt: float, tol: float = 1e-3) -> Verdict:
+    """Run the static control u = a from p0, checking the state every
+    n_steps // 400 steps and at T_max, and classify it by :func:`verdict`."""
+    st = _stepper(p0.geometry, p0.n, drift, nl, dt)
     u = min(max(float(a), 0.0), 1.0)
-    vals = p0.values.copy()
     n_steps = max(2, int(round(T_max / dt)))
     check_every = max(1, n_steps // 400)
-    mark = None
-    t_mark = 0.9 * T_max
-    for k in range(n_steps):
-        vals = st.advance(vals, u, u)
-        t = (k + 1) * dt
-        if (k + 1) % check_every == 0 or k == n_steps - 1:
-            gap = float(np.max(np.abs(vals - a)))
-            if gap < tol:
-                return Verdict(status="converged", time=t, residual_sup=gap,
-                               residual_profile=None)
-        if mark is None and t >= t_mark:
-            mark = vals.copy()
-    gap = float(np.max(np.abs(vals - a)))
-    stall = float(np.max(np.abs(vals - mark))) if mark is not None else np.inf
-    if stall < tol / 10.0 and gap >= tol:
-        return Verdict(status="blocked", time=None, residual_sup=gap,
-                       residual_profile=GridProfile(geometry, vals))
-    raise SolverFailure(f"horizon-too-short: neither converged (gap {gap:.3g}) "
-                        f"nor stalled (drift {stall:.3g}) by T={T_max}")
+
+    def checks():
+        vals = p0.values
+        for k in range(1, n_steps + 1):
+            vals = st.advance(vals, u, u)
+            if k % check_every == 0 or k == n_steps:
+                yield k * dt, vals
+
+    return verdict(checks(), a, T_max, p0.geometry, tol)

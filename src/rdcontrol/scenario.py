@@ -172,6 +172,20 @@ def _check_keys(merged: dict) -> None:
         raise InvalidInput(f"invalid-scenario: unknown key {', '.join(unknown)}")
 
 
+def _check_targets(targets) -> None:
+    """Each target is a number a in [0, 1] or an [a, p0] pair of such numbers."""
+    if not isinstance(targets, (list, tuple)):
+        raise InvalidInput(f"invalid-scenario: targets must be a list, got {targets!r}")
+    for i, entry in enumerate(targets):
+        pair = isinstance(entry, (list, tuple))
+        values = entry if pair else [entry]
+        if (pair and len(entry) != 2) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+                for v in values):
+            raise InvalidInput(f"invalid-scenario: targets[{i}] must be a number in [0, 1] "
+                               f"or an [a, p0] pair of such numbers, got {entry!r}")
+
+
 def scenario_hash(raw: dict) -> str:
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -215,6 +229,7 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
     for key in ("sigmas", "horizons"):
         if key in merged:
             _numbers(merged, key, "")
+    _check_targets(merged.get("targets", []))
     return Scenario(raw=merged, nl=nl, drift=drift, geometry=geometry, n=n, dt=dt, T=T,
                     experiment=str(experiment), p0_spec=merged.get("p0", {"kind": "const", "value": 0.0}),
                     out_dir=out_dir or merged.get("out", "out"),

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdcontrol.cli import main
+from rdcontrol.model import GridProfile
 from rdcontrol.scenario import PRESETS, load_scenario, scenario_hash, write_csv
 
 
@@ -81,6 +84,21 @@ class TestScenarioValidation:
         with pytest.raises(InvalidInput, match="missing field p0.path"):
             sc.initial_profile()
 
+    @pytest.mark.parametrize("targets, message", [
+        (["x"], r"targets\[0\] must be a number in \[0, 1\]"),
+        ([[0.33]], r"targets\[0\] must be"),
+        ([1.7], r"targets\[0\] must be"),
+        ([math.nan], r"targets\[0\] must be"),
+        ([0, [0.33, -0.1]], r"targets\[1\] must be"),
+        ([0, [0.3, 0.5, 0.1]], r"targets\[1\] must be"),
+        ([1, True], r"targets\[1\] must be"),
+        (0.5, "targets must be a list")])
+    def test_bad_targets_are_named(self, targets, message):
+        from rdcontrol.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match=message):
+            load_scenario({"preset": "fig6_strong", "targets": targets})
+
     def test_tabulated_f_loads(self):
         p = np.union1d(np.linspace(0.0, 1.0, 33), [0.33])
         sc = load_scenario({"preset": "fig6_strong",
@@ -131,6 +149,12 @@ class TestCommands:
             tmp_path, {"preset": "fig6_strong", "Tmax": 5})]) == 2
         assert "unknown key Tmax" in capsys.readouterr().err
 
+    def test_exit_code_bad_target(self, tmp_path, capsys):
+        assert main(["preset", "--scenario", _write_scenario(
+            tmp_path, {"preset": "fig6_strong", "targets": [0, 1.7]}),
+            "--out", str(tmp_path / "o")]) == 2
+        assert "targets[1] must be a number in [0, 1]" in capsys.readouterr().err
+
     def test_exit_code_empty_experiment(self, tmp_path):
         assert main(["preset", "--scenario", _write_scenario(
             tmp_path, {"domain": {"kind": "interval", "L": 1.0}})]) == 2
@@ -168,6 +192,56 @@ class TestCommands:
         info = json.loads((tmp_path / "o" / "transform.json").read_text())
         assert info["script_N_theta"] == pytest.approx(((1.33) ** 3 - 1) / 7, abs=1e-10)
         assert info["sup_discrepancy"] < 5e-3
+
+    def test_simulate_agrees_with_asymptotic_verdict(self, tmp_path):
+        from rdcontrol.dynamics import asymptotic_verdict
+
+        assert main(["preset", "fig6_strong", "--out", str(tmp_path / "o")]) == 0
+        out = json.loads((tmp_path / "o" / "verdict.json").read_text())
+        sc = load_scenario({"preset": "fig6_strong"})
+        for a in (0.0, 1.0):
+            v = asymptotic_verdict(GridProfile(sc.geometry, np.full(sc.n, 1.0 - a)), sc.nl,
+                                   sc.drift, a, sc.T, sc.dt)
+            assert v.status == out[f"{a:g}"]["status"] == "blocked"
+            assert v.stall < 1e-3 / 10 and v.horizon == sc.T
+            # both rules mark the stall at t = 72 and stop at t = 80
+            assert out[f"{a:g}"]["tail_move"] == pytest.approx(v.stall, rel=1e-9)
+            assert out[f"{a:g}"]["residual_sup"] == pytest.approx(v.residual_sup, rel=1e-9)
+
+    def test_simulate_short_horizon_exit_3(self, tmp_path, capsys):
+        assert main(["preset", "--scenario", _write_scenario(
+            tmp_path, {"preset": "fig6_strong", "T": 2}), "--out", str(tmp_path / "o")]) == 3
+        assert "horizon-too-short" in capsys.readouterr().err
+
+    def test_simulate_converged_time_is_first_close_snapshot(self, tmp_path):
+        assert main(["preset", "fig6", "--out", str(tmp_path / "o")]) == 0
+        out = json.loads((tmp_path / "o" / "verdict.json").read_text())
+        for a in (0.0, 1.0):
+            rows = np.loadtxt(tmp_path / "o" / f"simulate_to_{a:g}.csv", delimiter=",",
+                              skiprows=2)
+            times = np.unique(rows[:, 0])
+            gaps = np.array([np.max(np.abs(rows[rows[:, 0] == t, 2] - a)) for t in times])
+            first = times[np.argmax(gaps < 1e-3)]
+            assert gaps.min() < 1e-3
+            assert out[f"{a:g}"]["status"] == "converged"
+            assert out[f"{a:g}"]["time"] == pytest.approx(first, abs=1e-9)
+            assert out[f"{a:g}"]["time"] < PRESETS["fig6"]["T"]
+
+    @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25), n=st.integers(17, 65),
+           L=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_simulate_csv_is_byte_reproducible(self, tmp_path_factory, theta, sigma, n, L,
+                                               seed):
+        tmp = tmp_path_factory.mktemp("simulate")
+        sc = _write_scenario(tmp, {
+            "experiment": "simulate", "f": {"kind": "cubic", "theta": theta},
+            "drift": {"kind": "radial", "family": "gauss_out", "sigma": sigma},
+            "domain": {"kind": "interval", "L": L}, "n": n, "dt": 0.05, "T": 5.0,
+            "targets": [0], "p0": {"kind": "random"}, "seed": seed})
+        # the CSV is written before the verdict, so it exists on exit 3 too
+        codes = [main(["simulate", "--scenario", sc, "--out", str(tmp / o)]) for o in "ab"]
+        assert codes[0] == codes[1] and codes[0] in (0, 3)
+        csv = [(tmp / o / "simulate_to_0.csv").read_bytes() for o in "ab"]
+        assert csv[0] == csv[1]
 
     def test_mintime_command(self, tmp_path):
         rc = main(["mintime", "--scenario", _write_scenario(tmp_path, {

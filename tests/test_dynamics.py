@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdcontrol.dynamics import (
     ControlSchedule,
@@ -8,9 +10,10 @@ from rdcontrol.dynamics import (
     default_dt,
     simulate,
     step,
+    verdict,
 )
 from rdcontrol.errors import InvalidInput, SolverFailure
-from rdcontrol.model import DomainGeometry, DriftField, GridProfile
+from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 from rdcontrol.steady import find_barrier_one, find_barrier_zero
 
 
@@ -105,6 +108,43 @@ class TestInvariants:
         assert np.max(np.abs(s.profile.values - member.values)) < 1e-10
 
 
+class TestStepProperties:
+    @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25),
+           n=st.integers(17, 201), L=st.floats(1.0, 4.0),
+           family=st.sampled_from(["gauss_out", "gauss_in", "abs_exp", "sin"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_comparison_and_invariant_region(self, theta, sigma, n, L, family, seed):
+        nl = BistableNonlinearity.cubic(theta)
+        drift = DriftField.radial(family, sigma)
+        g = DomainGeometry.interval(L)
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0.0, 1.0, n)
+        s1 = make_state(g, lo, drift)
+        s2 = make_state(g, np.clip(lo + rng.uniform(0.0, 0.3, n), 0.0, 1.0), drift)
+        for _ in range(30):
+            u = float(rng.uniform(0.0, 1.0))
+            s1 = step(s1, nl, u, u, 0.05)
+            s2 = step(s2, nl, u, u, 0.05)
+            assert np.min(s2.profile.values - s1.profile.values) >= -1e-9
+            for s in (s1, s2):
+                assert np.min(s.profile.values) >= -1e-9
+                assert np.max(s.profile.values) <= 1.0 + 1e-9
+
+    @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25),
+           n=st.sampled_from([101, 201]), L=st.floats(2.2, 3.5), boundary=st.sampled_from([0, 1]))
+    def test_returned_barrier_is_fixed_point(self, theta, sigma, n, L, boundary):
+        nl = BistableNonlinearity.cubic(theta)
+        drift = DriftField.radial("gauss_out", sigma)
+        finder = find_barrier_one if boundary else find_barrier_zero
+        b = finder(nl, drift, sigma, L, 1, n_grid=n)
+        if b is None:
+            return
+        s = PdeState(0.0, b.profile, drift)
+        for _ in range(20):
+            s = step(s, nl, float(boundary), float(boundary), 0.02)
+        assert np.max(np.abs(s.profile.values - b.profile.values)) <= 1e-9
+
+
 class TestSimulate:
     def test_snapshots_and_distances(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.ones(101))
@@ -112,8 +152,9 @@ class TestSimulate:
                        snapshot_every=20)
         assert sim.times[0] == 0.0 and sim.times[-1] == pytest.approx(2.0)
         assert len(sim.snapshots) == len(sim.times)
-        assert sim.sup_dist[0.0][0] == pytest.approx(1.0)
-        assert np.all(np.diff(sim.sup_dist[0.0]) <= 1e-12)  # monotone decay run
+        dist = np.array([np.max(np.abs(snap.values)) for snap in sim.snapshots])
+        assert dist[0] == pytest.approx(1.0)
+        assert np.all(np.diff(dist) <= 1e-12)  # monotone decay run
         assert np.all((sim.control_log[:, 1:] >= 0.0) & (sim.control_log[:, 1:] <= 1.0))
 
     def test_piecewise_schedule(self, nl033, homog, interval_1):
@@ -130,6 +171,30 @@ class TestSimulate:
 
 
 class TestVerdicts:
+    def test_rule(self, interval_1):
+        def checks(gaps, seen):
+            for t, gap in gaps:
+                seen.append(t)
+                yield t, np.full(5, gap)
+
+        seen = []
+        v = verdict(checks([(1.0, 0.5), (2.0, 5e-4), (3.0, 0.0)], seen), 0.0, 3.0, interval_1)
+        assert (v.status, v.time, v.residual_sup, v.stall, v.horizon) == \
+            ("converged", 2.0, 5e-4, None, 3.0)
+        assert seen == [1.0, 2.0]  # consumed no further than the first converged check
+        # the stall counts from the first check at t >= 0.9 * horizon (9.5, not 8.0)
+        tail = [(1.0, 0.5), (8.0, 0.3), (9.5, 0.2), (10.0, 0.2 + 9e-5)]
+        v = verdict(checks(tail, []), 0.0, 10.0, interval_1)
+        assert v.status == "blocked" and v.time is None and v.horizon == 10.0
+        assert v.residual_sup == pytest.approx(0.2 + 9e-5)
+        assert v.stall == pytest.approx(9e-5) and v.stall < 1e-3 / 10
+        assert np.all(v.residual_profile.values == 0.2 + 9e-5)
+        tail[-1] = (10.0, 0.2 + 2e-4)
+        with pytest.raises(SolverFailure, match=r"horizon-too-short.*gap 0\.2.*stall 0\.0002.*T=10"):
+            verdict(checks(tail, []), 0.0, 10.0, interval_1)
+        with pytest.raises(InvalidInput, match="tol must be positive"):
+            verdict(checks(tail, []), 0.0, 10.0, interval_1, tol=0.0)
+
     def test_trivial_convergence(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.full(101, 0.33))
         v = asymptotic_verdict(p0, nl033, homog, 0.33, T_max=5.0, dt=0.02)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import F_quad, homogeneous_critical_length, rk4_fixed
@@ -276,7 +276,6 @@ class TestDiscreteSearch:
 
 
 class TestBarrierProperties:
-    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25),
            n=st.sampled_from([201, 401]))
     def test_returned_barriers_are_admissible_fixed_points(self, theta, sigma, n):
