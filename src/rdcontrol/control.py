@@ -2,7 +2,9 @@
 discrete path of steady states, controllability verdicts and
 minimal-time scans.
 
-The staircase walks the path built by :func:`steady.build_steady_path`.
+Step 1 of the staircase runs the static control 0 and is decided by the
+same rule as every static-control run, :func:`dynamics.verdict`.  The
+staircase then walks the path built by :func:`steady.build_steady_path`.
 Each leg applies clamped boundary feedback toward the next member's
 boundary trace; a leg succeeds at the first step whose sup-error to its
 target is below half the staircase tolerance, so errors cannot
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ControlSchedule, _stepper, asymptotic_verdict
+from .dynamics import ControlSchedule, _Stepper, asymptotic_verdict, verdict
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 from .steady import Barrier, SteadyPath, build_steady_path, find_barrier_one, find_barrier_zero
@@ -72,17 +74,17 @@ class MinTimeResult:
     strategy: str
 
 
-def _run_leg(state_vals, nl, drift, geometry, target: GridProfile, gain: float,
-             budget: float, dt: float, tol: float):
+def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
+             budget: float, tol: float):
     """Feedback leg toward a steady target, ending at the first step whose
     sup-error is within tol; returns (values, steps, time_used, success,
     err, u_min, u_max)."""
     schedule = ControlSchedule.feedback(target, gain)
     vals = state_vals
     t_used = 0.0
+    dt = st.dt
     u_min, u_max = math.inf, -math.inf
     n_steps = max(1, int(round(budget / dt)))
-    st = _stepper(geometry, target.n, drift, nl, dt)
     for k in range(n_steps):
         uL, uR = schedule.boundary_values(t_used, vals)
         u_min = min(u_min, uL, uR)
@@ -102,50 +104,33 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
                        path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
-    Step 1 applies the static control 0 until sup|p| <= delta1/2 (skipped
-    when already there); the remaining steps walk the steady-state path
-    with per-leg budget T1 and leg tolerance delta1/2.  Failure reports
-    the stage: Step-1 stalls are labelled "barrier-to-0" (the blocking
-    mechanism), leg stalls carry the leg index.
+    Step 1 applies the static control 0 and is decided by
+    :func:`dynamics.verdict` with tol delta1/2 and horizon T_max, checking
+    the start state and then every 0.5 time units.  Converged: the
+    staircase goes on from the checked state (at once when the start is
+    already within delta1/2).  Blocked: it fails as "barrier-to-0" (the
+    blocking mechanism).  Neither raises horizon-too-short.  The remaining
+    steps walk the steady-state path with per-leg budget T1 and leg
+    tolerance delta1/2; a leg stall fails with the leg index.
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
     n = n_grid or p0.n
     if p0.n != n:
         p0 = GridProfile(geometry, np.interp(geometry.grid(n), p0.x, p0.values))
-    vals = np.clip(p0.values.copy(), 0.0, 1.0)
-    total = 0.0
-    u_min, u_max = math.inf, -math.inf
 
     # Step 1: static zero control toward the trivial state
-    gap = float(np.max(vals))
-    if gap > delta1 / 2.0:
-        st = _stepper(geometry, n, drift, nl, dt)
-        budget = T_max
-        check = max(1, int(round(0.5 / dt)))
-        last_gap = gap
-        k = 0
-        while total < budget:
-            vals = st.advance(vals, 0.0, 0.0)
-            u_min, u_max = min(u_min, 0.0), max(u_max, 0.0)
-            total += dt
-            k += 1
-            if k % check == 0:
-                gap = float(np.max(vals))
-                if gap <= delta1 / 2.0:
-                    break
-                if k % (20 * check) == 0:
-                    if last_gap - gap < delta1 / 200.0:
-                        return StaircaseResult(False, total, stage="step1",
-                                               reason="barrier-to-0", terminal_error=gap,
-                                               control_min=u_min, control_max=u_max,
-                                               final=GridProfile(geometry, vals))
-                    last_gap = gap
-        gap = float(np.max(vals))
-        if gap > delta1 / 2.0:
-            return StaircaseResult(False, total, stage="step1", reason="barrier-to-0",
-                                   terminal_error=gap, control_min=u_min, control_max=u_max,
-                                   final=GridProfile(geometry, vals))
+    st = _Stepper(geometry, n, drift, nl, dt)
+    checks = st.checks(np.clip(p0.values, 0.0, 1.0), 0.0, max(1, int(round(T_max / dt))),
+                       max(1, int(round(0.5 / dt))))
+    v = verdict(checks, 0.0, T_max, geometry, delta1 / 2.0)
+    if v.status == "blocked":
+        return StaircaseResult(False, T_max, stage="step1", reason="barrier-to-0",
+                               terminal_error=v.residual_sup, control_min=0.0, control_max=0.0,
+                               final=v.residual_profile)
+    vals, total = v.residual_profile.values, v.time
+    # u = 0 was applied unless the start was already within delta1/2
+    u_min, u_max = (0.0, 0.0) if total > 0.0 else (math.inf, -math.inf)
 
     # Steps 2-3: walk the path of steady states
     if path is None:
@@ -160,8 +145,8 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
             return StaircaseResult(False, total, stage=f"leg{i}", reason="budget-exhausted",
                                    terminal_error=math.inf, legs=tuple(legs),
                                    control_min=u_min, control_max=u_max, path=path)
-        vals, steps, used, ok, err, lo, hi = _run_leg(vals, nl, drift, geometry, target, gain,
-                                                      min(T1, remaining), dt, delta1 / 2.0)
+        vals, steps, used, ok, err, lo, hi = _run_leg(st, vals, target, gain,
+                                                      min(T1, remaining), delta1 / 2.0)
         total += used
         u_min, u_max = min(u_min, lo), max(u_max, hi)
         legs.append(LegRecord(index=i, s_target=float(path.s_values[i]), steps=steps,

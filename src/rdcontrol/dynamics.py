@@ -2,9 +2,10 @@
 
 IMEX scheme: diffusion and drift are implicit (one tridiagonal solve per
 step, the same spatial operator the steady solvers assemble), the
-reaction explicit.  The implicit matrix is factored once per
-(grid, drift, dt) and every step reuses the factor.  Boundary rows are
-pinned to the control values, which are always clamped to [0, 1].
+reaction explicit.  Each run builds one stepper, which factors the
+implicit matrix once and reuses the factor at every step.  Boundary
+rows are pinned to the control values, which are always clamped to
+[0, 1].
 With controls and data in [0, 1] and dt * ||f'||_inf < 1 the update is
 monotone, so the discrete comparison principle and the invariant region
 survive exactly; discrete steady states are exact fixed points of the
@@ -13,7 +14,7 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +41,6 @@ class PdeState:
     t: float
     profile: GridProfile
     drift: DriftField
-    cfl: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class Verdict:
     status: str  # "converged" | "blocked"
     time: Optional[float]    # first converged check; None when blocked
     residual_sup: float      # gap sup|p - a| at that check, or at the horizon
-    residual_profile: Optional[GridProfile]  # final state when blocked
+    residual_profile: Optional[GridProfile]  # state at the deciding check
     stall: Optional[float]   # sup-move over the last tenth when blocked
     horizon: float
 
@@ -125,7 +125,7 @@ class _Stepper:
         if dt * M >= 1.0:
             raise InvalidInput(f"dt-too-large: dt*||f'|| = {dt * M:.3g} >= 1 "
                                "breaks the monotone reaction bound")
-        lower, diag, upper, peclet = assemble_operator(geometry, n, drift)
+        lower, diag, upper, _ = assemble_operator(geometry, n, drift)
         lo = -dt * lower
         di = 1.0 - dt * diag
         up = -dt * upper
@@ -136,10 +136,7 @@ class _Stepper:
             lo[0], di[0], up[0] = 0.0, 1.0, 0.0
         self.factor = factor_tridiagonal(lo, di, up)
         self.dt = dt
-        self.peclet = peclet
-        self.geometry = geometry
         self.nl = nl
-        self.drift = drift
 
     def advance(self, vals: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
         rhs = vals + self.dt * np.asarray(self.nl.f(vals))
@@ -148,19 +145,14 @@ class _Stepper:
             rhs[0] = u_left
         return solve_tridiagonal(self.factor, rhs)
 
-
-_STEPPER_CACHE: dict = {}
-
-
-def _stepper(geometry, n, drift, nl, dt) -> _Stepper:
-    key = (geometry, n, drift, id(nl), round(dt, 14))
-    st = _STEPPER_CACHE.get(key)
-    if st is None:
-        st = _Stepper(geometry, n, drift, nl, dt)
-        if len(_STEPPER_CACHE) > 64:
-            _STEPPER_CACHE.clear()
-        _STEPPER_CACHE[key] = st
-    return st
+    def checks(self, vals: np.ndarray, u: float, n_steps: int, every: int):
+        """Yield the checked states (t, values) of the static control u:
+        the start state, then every ``every`` steps and at step n_steps."""
+        yield 0.0, vals
+        for k in range(1, n_steps + 1):
+            vals = self.advance(vals, u, u)
+            if k % every == 0 or k == n_steps:
+                yield k * self.dt, vals
 
 
 def step(state: PdeState, nl: BistableNonlinearity, u_left: float, u_right: float,
@@ -169,10 +161,10 @@ def step(state: PdeState, nl: BistableNonlinearity, u_left: float, u_right: floa
     for u in (u_left, u_right):
         if not (0.0 <= u <= 1.0):
             raise InvalidInput(f"invalid-control: u={u} outside [0,1]")
-    st = _stepper(state.profile.geometry, state.profile.n, state.drift, nl, dt)
+    st = _Stepper(state.profile.geometry, state.profile.n, state.drift, nl, dt)
     vals = st.advance(state.profile.values, u_left, u_right)
     return PdeState(t=state.t + dt, profile=GridProfile(state.profile.geometry, vals),
-                    drift=state.drift, cfl={"peclet_max": st.peclet, "dt": dt})
+                    drift=state.drift)
 
 
 def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
@@ -180,7 +172,7 @@ def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
              snapshot_every: int = 10) -> SimulationResult:
     """March the controlled equation to time T, keeping periodic snapshots."""
     geometry = p0.geometry
-    st = _stepper(geometry, p0.n, drift, nl, dt)
+    st = _Stepper(geometry, p0.n, drift, nl, dt)
     prof = GridProfile(geometry, p0.values.copy())
     n_steps = max(1, int(round(T / dt)))
     times = [0.0]
@@ -207,7 +199,8 @@ def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
     last at t = horizon, and is consumed only up to the verdict.
     converged: the first check with gap sup|p - a| < tol.
     blocked:   still tol-far at the horizon, and moved < tol/10 since
-               the first check at t >= 0.9 horizon.
+               the first check at t >= 0.9 horizon, which must come
+               before the last check.
     Anything else raises horizon-too-short.
     """
     if tol <= 0.0:
@@ -216,10 +209,10 @@ def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
     for t, vals in checks:
         gap = float(np.max(np.abs(vals - a)))
         if gap < tol:
-            return Verdict("converged", float(t), gap, None, None, horizon)
+            return Verdict("converged", float(t), gap, GridProfile(geometry, vals), None, horizon)
         if mark is None and t >= 0.9 * horizon:
-            mark = vals
-    stall = float(np.max(np.abs(vals - mark))) if mark is not None else np.inf
+            t_mark, mark = t, vals
+    stall = float(np.max(np.abs(vals - mark))) if mark is not None and t_mark < t else np.inf
     if stall < tol / 10.0:
         return Verdict("blocked", None, gap, GridProfile(geometry, vals), stall, horizon)
     raise SolverFailure(f"horizon-too-short: neither converged (gap {gap:.3g}) "
@@ -228,18 +221,11 @@ def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
 
 def asymptotic_verdict(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
                        a: float, T_max: float, dt: float, tol: float = 1e-3) -> Verdict:
-    """Run the static control u = a from p0, checking the state every
-    n_steps // 400 steps and at T_max, and classify it by :func:`verdict`."""
-    st = _stepper(p0.geometry, p0.n, drift, nl, dt)
+    """Run the static control u = a from p0, checking the start state, the
+    state every n_steps // 400 steps and at T_max, and classify it by
+    :func:`verdict`."""
+    st = _Stepper(p0.geometry, p0.n, drift, nl, dt)
     u = min(max(float(a), 0.0), 1.0)
     n_steps = max(2, int(round(T_max / dt)))
-    check_every = max(1, n_steps // 400)
-
-    def checks():
-        vals = p0.values
-        for k in range(1, n_steps + 1):
-            vals = st.advance(vals, u, u)
-            if k % check_every == 0 or k == n_steps:
-                yield k * dt, vals
-
-    return verdict(checks(), a, T_max, p0.geometry, tol)
+    return verdict(st.checks(p0.values, u, n_steps, max(1, n_steps // 400)),
+                   a, T_max, p0.geometry, tol)

@@ -34,8 +34,6 @@ __all__ = [
     "DomainGeometry",
     "GridProfile",
     "AssumptionVerdict",
-    "eval_f",
-    "eval_F",
     "lipschitz_and_sup_fprime",
     "validate_assumption",
 ]
@@ -155,14 +153,6 @@ class BistableNonlinearity:
             raise InvalidInput("invalid-bistable: derivative signs at roots")
         if float(self.F(1.0)) <= 0.0:
             raise InvalidInput("invalid-bistable: integral of f over (0,1) must be positive")
-
-
-def eval_f(nl: BistableNonlinearity, p):
-    return nl.f(p)
-
-
-def eval_F(nl: BistableNonlinearity, p):
-    return nl.F(p)
 
 
 def lipschitz_and_sup_fprime(nl: BistableNonlinearity) -> tuple[float, float]:

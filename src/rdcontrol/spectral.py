@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import factor_tridiagonal, solve_tridiagonal
+from .elliptic import apply_operator, factor_tridiagonal, solve_tridiagonal
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile, lipschitz_and_sup_fprime
 
@@ -106,9 +106,7 @@ def weighted_lambda1(geometry: DomainGeometry, weight, n: int, tol: float = 1e-1
     factor = factor_tridiagonal(lower, diag, upper)
     for it in range(1, max_iter + 1):
         v = solve_tridiagonal(factor, mass * u)
-        ku = diag * v
-        ku[1:] += lower[1:] * v[:-1]
-        ku[:-1] += upper[:-1] * v[1:]
+        ku = apply_operator(lower, diag, upper, v)
         lam = float((v @ ku) / (v @ (mass * v)))
         u = v / np.sqrt(v @ (mass * v))
         if abs(lam - lam_prev) < tol:
@@ -117,9 +115,7 @@ def weighted_lambda1(geometry: DomainGeometry, weight, n: int, tol: float = 1e-1
     else:
         raise SolverFailure("eigen-stall: inverse iteration did not converge")
 
-    ku = diag * u
-    ku[1:] += lower[1:] * u[:-1]
-    ku[:-1] += upper[:-1] * u[1:]
+    ku = apply_operator(lower, diag, upper, u)
     residual = float(np.max(np.abs(ku - lam * mass * u)) / np.max(np.abs(ku)))
     full = np.zeros(n)
     full[free] = u if u[np.argmax(np.abs(u))] > 0 else -u

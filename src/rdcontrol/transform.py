@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import PchipInterpolator
 
-from .elliptic import assemble_operator, factor_tridiagonal, solve_tridiagonal
+from .elliptic import apply_operator, assemble_operator, factor_tridiagonal, solve_tridiagonal
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
@@ -131,9 +131,7 @@ class _CnAb2:
         self.dt = dt
 
     def advance(self, vals, g_now, g_prev, u_left, u_right):
-        rhs = self.exp_di * vals
-        rhs[1:] += self.exp_lo[1:] * vals[:-1]
-        rhs[:-1] += self.exp_up[:-1] * vals[1:]
+        rhs = apply_operator(self.exp_lo, self.exp_di, self.exp_up, vals)
         rhs += self.dt * (1.5 * g_now - 0.5 * g_prev)
         rhs[0] = u_left
         rhs[-1] = u_right

@@ -208,10 +208,25 @@ class TestCommands:
             assert out[f"{a:g}"]["tail_move"] == pytest.approx(v.stall, rel=1e-9)
             assert out[f"{a:g}"]["residual_sup"] == pytest.approx(v.residual_sup, rel=1e-9)
 
+    def test_simulate_and_asymptotic_verdict_check_the_start_state(self, tmp_path):
+        from rdcontrol.dynamics import asymptotic_verdict
+
+        scenario = {"experiment": "simulate", "domain": {"kind": "interval", "L": 1.0},
+                    "n": 101, "dt": 0.02, "T": 5.0, "targets": [[0.33, 0.33]]}
+        assert main(["preset", "--scenario", _write_scenario(tmp_path, scenario),
+                     "--out", str(tmp_path / "o")]) == 0
+        out = json.loads((tmp_path / "o" / "verdict.json").read_text())["0.33_from_0.33"]
+        sc = load_scenario(scenario)
+        v = asymptotic_verdict(GridProfile(sc.geometry, np.full(101, 0.33)), sc.nl, sc.drift,
+                               0.33, T_max=5.0, dt=0.02)
+        assert (v.status, v.time) == (out["status"], out["time"]) == ("converged", 0.0)
+
     def test_simulate_short_horizon_exit_3(self, tmp_path, capsys):
-        assert main(["preset", "--scenario", _write_scenario(
-            tmp_path, {"preset": "fig6_strong", "T": 2}), "--out", str(tmp_path / "o")]) == 3
-        assert "horizon-too-short" in capsys.readouterr().err
+        # at T = 0.1 the only snapshot at t >= 0.9 T is the horizon: no stall measured
+        for T in (2, 0.1):
+            assert main(["preset", "--scenario", _write_scenario(
+                tmp_path, {"preset": "fig6_strong", "T": T}), "--out", str(tmp_path / "o")]) == 3
+            assert "horizon-too-short" in capsys.readouterr().err
 
     def test_simulate_converged_time_is_first_close_snapshot(self, tmp_path):
         assert main(["preset", "fig6", "--out", str(tmp_path / "o")]) == 0

@@ -9,7 +9,7 @@ from rdcontrol.control import (
     mintime_scan,
     staircase_to_theta,
 )
-from rdcontrol.errors import InvalidInput
+from rdcontrol.errors import InvalidInput, SolverFailure
 from rdcontrol.model import DomainGeometry, DriftField, GridProfile
 from rdcontrol.scenario import load_scenario
 from rdcontrol.steady import build_steady_path
@@ -42,6 +42,14 @@ class TestStaircase:
         assert not res.success
         assert res.stage == "step1"
         assert res.reason == "barrier-to-0"
+
+    def test_step1_short_horizon_is_not_a_barrier(self):
+        # Step 1 is decided by dynamics.verdict: at T_max = 2 the run from 1
+        # has neither reached delta1/2 nor stalled, so it cannot tell
+        sc = load_scenario({"preset": "fig6_strong"})
+        with pytest.raises(SolverFailure, match="horizon-too-short"):
+            staircase_to_theta(GridProfile(sc.geometry, np.ones(sc.n)), sc.nl, sc.drift,
+                               sc.geometry, T_max=2.0, dt=sc.dt)
 
     def test_leg_success_step_does_not_depend_on_budget(self, nl033, homog, interval_1):
         # the sup-error is checked after every step, so a leg that succeeds

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rdcontrol.dynamics import (
     ControlSchedule,
     PdeState,
+    _Stepper,
     asymptotic_verdict,
     default_dt,
     simulate,
@@ -157,6 +158,19 @@ class TestSimulate:
         assert np.all(np.diff(dist) <= 1e-12)  # monotone decay run
         assert np.all((sim.control_log[:, 1:] >= 0.0) & (sim.control_log[:, 1:] <= 1.0))
 
+    def test_drifts_with_equal_eps_do_not_share_an_operator(self, nl033):
+        # two slowly-varying drifts that differ only in n and n'
+        g = DomainGeometry.interval(2.0)
+        p0 = GridProfile(g, np.ones(101))
+        for drift in (DriftField.slow(np.sin, np.cos, eps=1.0),
+                      DriftField.slow(lambda x: -np.sin(x), lambda x: -np.cos(x), eps=1.0)):
+            sim = simulate(p0, nl033, drift, ControlSchedule.static(0.0), T=5.0, dt=0.01)
+            st = _Stepper(g, 101, drift, nl033, 0.01)
+            vals = p0.values
+            for _ in range(500):
+                vals = st.advance(vals, 0.0, 0.0)
+            assert np.array_equal(sim.snapshots[-1].values, vals)
+
     def test_piecewise_schedule(self, nl033, homog, interval_1):
         sched = ControlSchedule.piecewise([(0.0, 0.2), (1.0, 0.9)])
         p0 = GridProfile(interval_1, np.zeros(101))
@@ -192,6 +206,9 @@ class TestVerdicts:
         tail[-1] = (10.0, 0.2 + 2e-4)
         with pytest.raises(SolverFailure, match=r"horizon-too-short.*gap 0\.2.*stall 0\.0002.*T=10"):
             verdict(checks(tail, []), 0.0, 10.0, interval_1)
+        # a stall needs a mark before the last check: the horizon alone measures none
+        with pytest.raises(SolverFailure, match=r"horizon-too-short.*stall inf"):
+            verdict(checks([(1.0, 0.5), (10.0, 0.2)], []), 0.0, 10.0, interval_1)
         with pytest.raises(InvalidInput, match="tol must be positive"):
             verdict(checks(tail, []), 0.0, 10.0, interval_1, tol=0.0)
 
@@ -240,3 +257,6 @@ class TestVerdicts:
         p0 = GridProfile(g, np.ones(201))
         with pytest.raises(SolverFailure, match="horizon-too-short"):
             asymptotic_verdict(p0, nl033, homog, 0.0, T_max=1.0, dt=0.02)
+        # only the horizon check is at t >= 0.9 T: no stall, so not blocked (L < L_c)
+        with pytest.raises(SolverFailure, match="horizon-too-short"):
+            asymptotic_verdict(p0, nl033, homog, 0.0, T_max=0.04, dt=0.02)

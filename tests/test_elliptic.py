@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from rdcontrol.dynamics import _stepper
+from rdcontrol.dynamics import _Stepper
 from rdcontrol.elliptic import assemble_operator, factor_tridiagonal, solve_tridiagonal
 from rdcontrol.errors import SolverFailure
 from rdcontrol.model import DomainGeometry
@@ -38,7 +38,7 @@ def stepper_matrix(geometry, n, drift, dt):
 
 
 def assert_steps_match_banded(geometry, n, drift, nl, dt, u_left, u_right, steps=50):
-    st = _stepper(geometry, n, drift, nl, dt)
+    st = _Stepper(geometry, n, drift, nl, dt)
     lo, di, up = stepper_matrix(geometry, n, drift, dt)
     vals = np.random.default_rng(n).uniform(0.0, 1.0, n)
     for _ in range(steps):

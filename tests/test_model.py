@@ -8,8 +8,6 @@ from rdcontrol.model import (
     DomainGeometry,
     DriftField,
     GridProfile,
-    eval_F,
-    eval_f,
     lipschitz_and_sup_fprime,
     validate_assumption,
 )
@@ -17,31 +15,31 @@ from rdcontrol.model import (
 
 class TestNonlinearity:
     def test_roots(self, nl033):
-        assert eval_f(nl033, 0.0) == 0.0
-        assert eval_f(nl033, 0.33) == pytest.approx(0.0, abs=1e-15)
-        assert eval_f(nl033, 1.0) == 0.0
+        assert nl033.f(0.0) == 0.0
+        assert nl033.f(0.33) == pytest.approx(0.0, abs=1e-15)
+        assert nl033.f(1.0) == 0.0
 
     def test_midpoint_value(self, nl033):
         # 0.5 * 0.17 * 0.5
-        assert eval_f(nl033, 0.5) == pytest.approx(0.0425, abs=1e-12)
+        assert nl033.f(0.5) == pytest.approx(0.0425, abs=1e-12)
 
     def test_F_at_one_closed_form(self, nl033):
-        assert eval_F(nl033, 1.0) == pytest.approx((1 - 2 * 0.33) / 12, abs=1e-12)
-        assert eval_F(nl033, 1.0) == pytest.approx(F_quad(0.33, 1.0), abs=1e-12)
+        assert nl033.F(1.0) == pytest.approx((1 - 2 * 0.33) / 12, abs=1e-12)
+        assert nl033.F(1.0) == pytest.approx(F_quad(0.33, 1.0), abs=1e-12)
 
     def test_F_at_theta_quadrature_oracle(self, nl033):
         # frozen from the 10^4-panel Simpson oracle
         assert F_quad(0.33, 0.33) == pytest.approx(-0.0050012325, abs=1e-10)
-        assert eval_F(nl033, 0.33) == pytest.approx(-0.0050012325, abs=1e-10)
+        assert nl033.F(0.33) == pytest.approx(-0.0050012325, abs=1e-10)
 
     def test_F_zero_at_origin(self, nl033):
-        assert eval_F(nl033, 0.0) == 0.0
+        assert nl033.F(0.0) == 0.0
 
     def test_F_at_one_random_thetas(self):
         rng = np.random.default_rng(7)
         for theta in rng.uniform(0.01, 0.499, 100):
             nl = BistableNonlinearity.cubic(float(theta))
-            assert eval_F(nl, 1.0) == pytest.approx((1 - 2 * theta) / 12, abs=1e-12)
+            assert nl.F(1.0) == pytest.approx((1 - 2 * theta) / 12, abs=1e-12)
 
     def test_sign_pattern_dense(self, nl033):
         p = np.linspace(1e-6, 0.33 - 1e-6, 5000)
@@ -73,7 +71,7 @@ class TestNonlinearity:
 
     def test_non_finite_input(self, nl033):
         with pytest.raises(InvalidInput, match="invalid-scalar"):
-            eval_f(nl033, float("nan"))
+            nl033.f(float("nan"))
 
     def test_tabulated_roundtrip(self, nl033):
         # sample grid must contain the Allee root for the interpolant to
@@ -87,7 +85,7 @@ class TestNonlinearity:
 
     def test_cubic_extension_outside(self, nl033):
         # dynamics extension keeps the cubic formula
-        assert eval_f(nl033, -0.05) == pytest.approx(-0.05 * (-0.38) * 1.05, abs=1e-12)
+        assert nl033.f(-0.05) == pytest.approx(-0.05 * (-0.38) * 1.05, abs=1e-12)
 
 
 class TestDrift:
