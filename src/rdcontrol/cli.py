@@ -77,6 +77,15 @@ def run(sc: Scenario) -> int:
     raise InvalidInput(f"invalid-scenario: experiment {kind!r}")
 
 
+def _emit(sc: Scenario, name: str, info: dict) -> int:
+    """Write ``info`` to ``<name>.json`` in the output directory, print it
+    as one line and return exit code 0."""
+    with open(os.path.join(sc.out_dir, f"{name}.json"), "w") as fh:
+        json.dump(info, fh, indent=2, sort_keys=True)
+    print(json.dumps(info, sort_keys=True))
+    return 0
+
+
 def _run_barriers(sc: Scenario) -> int:
     from .steady import find_barrier_one, find_barrier_zero
     from .svgplot import phase_portrait
@@ -103,10 +112,7 @@ def _run_barriers(sc: Scenario) -> int:
         events[tag]["events"] = {k: v for k, v in tr.events.items()}
         phase_portrait(os.path.join(sc.out_dir, f"{tag}_phase.svg"), sc.nl, tr,
                        title=f"boundary value {bv}")
-    with open(os.path.join(sc.out_dir, "events.json"), "w") as fh:
-        json.dump(events, fh, indent=2, sort_keys=True)
-    print(json.dumps(events, sort_keys=True))
-    return 0
+    return _emit(sc, "events", events)
 
 
 def _run_simulate(sc: Scenario) -> int:
@@ -141,10 +147,7 @@ def _run_simulate(sc: Scenario) -> int:
                     a, sc.T, sc.geometry)
         verdicts[tag] = {"status": v.status, "time": v.time,
                          "residual_sup": v.residual_sup, "tail_move": v.stall}
-    with open(os.path.join(sc.out_dir, "verdict.json"), "w") as fh:
-        json.dump(verdicts, fh, indent=2, sort_keys=True)
-    print(json.dumps(verdicts, sort_keys=True))
-    return 0
+    return _emit(sc, "verdict", verdicts)
 
 
 def _run_report(sc: Scenario) -> int:
@@ -162,10 +165,7 @@ def _run_report(sc: Scenario) -> int:
                      "p_max": tv.witness.p_max}}
         rows.append((key, tv.status, tv.time if tv.time is not None else math.inf))
     write_csv(os.path.join(sc.out_dir, "report.csv"), ["target", "status", "time"], rows, sc.raw)
-    with open(os.path.join(sc.out_dir, "report.json"), "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-    print(json.dumps(out, sort_keys=True))
-    return 0
+    return _emit(sc, "report", out)
 
 
 def _run_mintime(sc: Scenario) -> int:
@@ -199,10 +199,7 @@ def _run_eigen(sc: Scenario) -> int:
             "n": sc.n, "residual": plain.residual,
             "certificate": {"which": cert.which, "holds": cert.holds,
                             "lhs": cert.lhs, "rhs": cert.rhs}}
-    with open(os.path.join(sc.out_dir, "eigen.json"), "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return _emit(sc, "eigen", info)
 
 
 def _run_energy(sc: Scenario) -> int:
@@ -215,21 +212,18 @@ def _run_energy(sc: Scenario) -> int:
     rows = []
     for sig in np.geomspace(max(sigma_star, 1e-6) / 8.0 if sigma_star else 1e-3,
                             (sigma_star if sigma_star not in (0.0, math.inf) else 1.0) * 8.0, 9):
-        rep = energy_sigma(sc.nl, sc.drift, float(sig), eta, sc.geometry, _shifted=True)
+        rep = energy_sigma(sc.nl, sc.drift, float(sig), eta, sc.geometry)
         rows.append((float(sig), rep.value, rep.gradient_part, rep.potential_part))
     write_csv(os.path.join(sc.out_dir, "energy_scan.csv"),
               ["sigma", "value_scaled", "gradient_scaled", "potential_scaled"], rows, sc.raw)
     at_star = None
     if 0.0 < sigma_star < math.inf:
-        rep = energy_sigma(sc.nl, sc.drift, sigma_star, eta, sc.geometry, _shifted=True)
+        rep = energy_sigma(sc.nl, sc.drift, sigma_star, eta, sc.geometry)
         at_star = {"sigma": sigma_star, "value": rep.value,
                    "gradient_part": rep.gradient_part, "potential_part": rep.potential_part}
     info = {"sigma_star": sigma_star, "status": status, "delta": delta,
             "report_at_sigma_star": at_star}
-    with open(os.path.join(sc.out_dir, "energy.json"), "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return _emit(sc, "energy", info)
 
 
 def _run_transform(sc: Scenario) -> int:
@@ -249,10 +243,7 @@ def _run_transform(sc: Scenario) -> int:
     write_csv(os.path.join(sc.out_dir, "transform.csv"),
               ["p", "script_N", "tilde_f"], rows, sc.raw)
     info = {"sup_discrepancy": disc, "script_N_theta": float(gf.script_N(sc.nl.theta))}
-    with open(os.path.join(sc.out_dir, "transform.json"), "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return _emit(sc, "transform", info)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -100,7 +100,6 @@ def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
                        geometry: DomainGeometry, delta1: float = 0.05, T1: float = 20.0,
                        T_max: float = 300.0, dt: float = 0.02, gain: float = 1.0,
-                       n_grid: Optional[int] = None,
                        path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
@@ -111,13 +110,12 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     already within delta1/2).  Blocked: it fails as "barrier-to-0" (the
     blocking mechanism).  Neither raises horizon-too-short.  The remaining
     steps walk the steady-state path with per-leg budget T1 and leg
-    tolerance delta1/2; a leg stall fails with the leg index.
+    tolerance delta1/2; a leg stall fails with the leg index.  Everything
+    runs on the grid of ``p0``.
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
-    n = n_grid or p0.n
-    if p0.n != n:
-        p0 = GridProfile(geometry, np.interp(geometry.grid(n), p0.x, p0.values))
+    n = p0.n
 
     # Step 1: static zero control toward the trivial state
     st = _Stepper(geometry, n, drift, nl, dt)
@@ -172,30 +170,32 @@ class TargetVerdict:
 
 
 def controllability_report(nl: BistableNonlinearity, drift: DriftField,
-                           geometry: DomainGeometry, sigma: Optional[float] = None,
-                           n: int = 201, dt: float = 0.02, T_max: float = 150.0,
-                           tol: float = 1e-3, delta1: float = 0.05, T1: float = 20.0
+                           geometry: DomainGeometry, n: int = 201, dt: float = 0.02,
+                           T_max: float = 150.0, delta1: float = 0.05, T1: float = 20.0
                            ) -> dict:
     """Verdicts for the three homogeneous targets with blocking witnesses.
 
     Targets 0 and 1 run static controls from the extreme data (p0 = 1,
     resp. 0), which dominate every admissible initial state by the
-    comparison principle; theta runs the staircase from p0 = 1.  Blocked
-    verdicts attach the matching barrier as a witness when one is found.
+    comparison principle, and are decided with verdict tolerance 1e-3;
+    theta runs the staircase from p0 = 1.  Blocked verdicts attach the
+    matching barrier as a witness when one is found.
     """
-    sig = drift.sigma if sigma is None else sigma
     R = geometry.inradius()
     d = geometry.d if geometry.kind == "ball" else 1
     ones = GridProfile(geometry, np.ones(n))
     zeros = GridProfile(geometry, np.zeros(n))
     report = {}
 
-    v0 = asymptotic_verdict(ones, nl, drift, 0.0, T_max, dt, tol)
-    w0 = find_barrier_zero(nl, drift, sig, R, d, n_grid=n) if v0.status == "blocked" else None
+    def witness(finder) -> Optional[Barrier]:
+        return finder(nl, drift, drift.sigma, R, d, n_grid=n)
+
+    v0 = asymptotic_verdict(ones, nl, drift, 0.0, T_max, dt)
+    w0 = witness(find_barrier_zero) if v0.status == "blocked" else None
     report["to_zero"] = TargetVerdict(0.0, v0.status, v0.time, w0, v0)
 
-    v1 = asymptotic_verdict(zeros, nl, drift, 1.0, T_max, dt, tol)
-    w1 = find_barrier_one(nl, drift, sig, R, d, n_grid=n) if v1.status == "blocked" else None
+    v1 = asymptotic_verdict(zeros, nl, drift, 1.0, T_max, dt)
+    w1 = witness(find_barrier_one) if v1.status == "blocked" else None
     report["to_one"] = TargetVerdict(1.0, v1.status, v1.time, w1, v1)
 
     sc = staircase_to_theta(ones, nl, drift, geometry, delta1=delta1, T1=T1,
@@ -205,9 +205,9 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
     else:
         wt = None
         if sc.reason == "barrier-to-0":
-            wt = find_barrier_zero(nl, drift, sig, R, d, n_grid=n)
+            wt = witness(find_barrier_zero)
         elif sc.reason in ("leg-stall", "path-inadmissible"):
-            wt = find_barrier_one(nl, drift, sig, R, d, n_grid=n)
+            wt = witness(find_barrier_one)
         report["to_theta"] = TargetVerdict(nl.theta, "blocked" if wt is not None else "failure",
                                            None, wt, sc)
     return report
@@ -215,15 +215,14 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
 
 def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
                           geometry: DomainGeometry, horizon_grid,
-                          n: int = 101, dt: float = 0.02, delta1: float = 0.05,
-                          gain: float = 1.0) -> MinTimeResult:
+                          n: int = 101, dt: float = 0.02) -> MinTimeResult:
     """Smallest feasible horizon on the grid for controlling 0 to theta.
 
-    A horizon T is feasible when the staircase with per-leg budget T/n_legs
-    and total budget T succeeds within T.  The staircase runs once, at the
-    largest horizon; every horizon is then decided exactly from its
-    recorded legs (:func:`_fits`), so there is no bisection and
-    feasibility is never assumed monotone in T.
+    A horizon T is feasible when the staircase (delta1 = 0.05, gain 1)
+    with per-leg budget T/n_legs and total budget T succeeds within T.
+    The staircase runs once, at the largest horizon; every horizon is
+    then decided exactly from its recorded legs (:func:`_fits`), so
+    there is no bisection and feasibility is never assumed monotone in T.
     """
     horizons = np.sort(np.asarray(horizon_grid, dtype=float))
     if horizons.size == 0:
@@ -232,7 +231,7 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
         raise InvalidInput("invalid-grid: horizons must be finite and positive")
     zeros = GridProfile(geometry, np.zeros(n))
     try:
-        path = build_steady_path(nl, drift, geometry, K=9, delta=delta1 / 2.0, n_grid=n)
+        path = build_steady_path(nl, drift, geometry, K=9, delta=0.025, n_grid=n)
     except SolverFailure:
         return MinTimeResult(parameter=drift.sigma, T_min=math.inf,
                              strategy="staircase (path construction failed)")
@@ -241,8 +240,8 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
                              strategy="staircase (path inadmissible)")
     n_legs = max(1, len(path) - 1)
     T_top = horizons[-1]
-    run = staircase_to_theta(zeros, nl, drift, geometry, delta1=delta1, T1=T_top / n_legs,
-                             T_max=T_top, dt=dt, gain=gain, path=path)
+    run = staircase_to_theta(zeros, nl, drift, geometry, T1=T_top / n_legs,
+                             T_max=T_top, dt=dt, path=path)
     feasible = [T for T in horizons if run.success and _fits(run.legs, T, n_legs, dt)]
     return MinTimeResult(drift.sigma, float(feasible[0]) if feasible else math.inf, "staircase")
 
@@ -262,10 +261,10 @@ def _fits(legs, T: float, n_legs: int, dt: float) -> bool:
 
 def mintime_scan(drift_family: str, sigma_grid, nl: BistableNonlinearity,
                  geometry: DomainGeometry, horizon_grid, n: int = 101,
-                 dt: float = 0.02, delta1: float = 0.05) -> list[MinTimeResult]:
+                 dt: float = 0.02) -> list[MinTimeResult]:
     """One minimal-time search per drift intensity for a named family."""
     if drift_family not in ("gauss_out", "gauss_in", "abs_exp", "sin"):
         raise InvalidInput(f"invalid-family: {drift_family}")
     return [minimal_time_to_theta(nl, DriftField.radial(drift_family, sig), geometry,
-                                  horizon_grid, n=n, dt=dt, delta1=delta1)
+                                  horizon_grid, n=n, dt=dt)
             for sig in np.asarray(sigma_grid, dtype=float)]

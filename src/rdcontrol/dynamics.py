@@ -125,7 +125,7 @@ class _Stepper:
         if dt * M >= 1.0:
             raise InvalidInput(f"dt-too-large: dt*||f'|| = {dt * M:.3g} >= 1 "
                                "breaks the monotone reaction bound")
-        lower, diag, upper, _ = assemble_operator(geometry, n, drift)
+        lower, diag, upper = assemble_operator(geometry, n, drift)
         lo = -dt * lower
         di = 1.0 - dt * diag
         up = -dt * upper
@@ -220,12 +220,12 @@ def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
 
 
 def asymptotic_verdict(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       a: float, T_max: float, dt: float, tol: float = 1e-3) -> Verdict:
+                       a: float, T_max: float, dt: float) -> Verdict:
     """Run the static control u = a from p0, checking the start state, the
     state every n_steps // 400 steps and at T_max, and classify it by
-    :func:`verdict`."""
+    :func:`verdict` with its default tol."""
     st = _Stepper(p0.geometry, p0.n, drift, nl, dt)
     u = min(max(float(a), 0.0), 1.0)
     n_steps = max(2, int(round(T_max / dt)))
     return verdict(st.checks(p0.values, u, n_steps, max(1, n_steps // 400)),
-                   a, T_max, p0.geometry, tol)
+                   a, T_max, p0.geometry)

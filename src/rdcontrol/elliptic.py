@@ -52,7 +52,7 @@ def advection_coeff(geometry: DomainGeometry, x: np.ndarray, drift: DriftField) 
 
 
 def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
-    """Return (lower, diag, upper, peclet_max) of A with zeroed boundary rows.
+    """Return (lower, diag, upper) of A with zeroed boundary rows.
 
     ``lower[i]`` multiplies p_{i-1} in row i, ``upper[i]`` multiplies
     p_{i+1}; row 0 and row n-1 are left empty for boundary conditions.
@@ -65,8 +65,7 @@ def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
     upper = np.zeros(n)
     inner = slice(1, n - 1)
     ci = c[inner]
-    peclet = np.abs(ci) * h / 2.0
-    centered = peclet < 1.0
+    centered = np.abs(ci) * h / 2.0 < 1.0  # cell Peclet number below 1
 
     lo = 1.0 / h**2 - ci / (2.0 * h)
     di = -2.0 / h**2 * np.ones(n - 2)
@@ -89,8 +88,7 @@ def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
         # origin row: symmetric Neumann, Lap(p)(0) = 2 d (p1 - p0)/h^2
         diag[0] = -2.0 * geometry.d / h**2
         upper[0] = 2.0 * geometry.d / h**2
-    pe_max = float(np.max(peclet)) if n > 2 else 0.0
-    return lower, diag, upper, pe_max
+    return lower, diag, upper
 
 
 def apply_operator(lower, diag, upper, p: np.ndarray) -> np.ndarray:
@@ -151,9 +149,13 @@ def steady_residual(
 ) -> float:
     """Max norm of A p + f(p) over the PDE rows."""
     n = p.size
-    lower, diag, upper, _ = assemble_operator(geometry, n, drift)
+    lower, diag, upper = assemble_operator(geometry, n, drift)
     res = apply_operator(lower, diag, upper, p) + nl.f(p)
     return float(np.max(np.abs(res[_interior_rows(geometry, n)])))
+
+
+_NEWTON_TOL = 1e-11  # max-norm residual at which Newton stops
+_NEWTON_MAX_ITER = 60
 
 
 def newton_steady(
@@ -163,8 +165,6 @@ def newton_steady(
     seed: np.ndarray,
     bc_left: float,
     bc_right: float,
-    tol: float = 1e-11,
-    max_iter: int = 60,
 ) -> tuple[np.ndarray, float]:
     """Damped Newton solve of A p + f(p) = 0 with pinned boundary values.
 
@@ -173,10 +173,10 @@ def newton_steady(
     and its residual; raises SolverFailure on divergence.  A stalled line
     search returns the iterate when its residual is within 4x the
     roundoff floor eps * max|diag| * max|p| of A p, which can exceed
-    ``tol`` on fine grids.
+    _NEWTON_TOL on fine grids.
     """
     n = seed.size
-    lower, diag, upper, _ = assemble_operator(geometry, n, drift)
+    lower, diag, upper = assemble_operator(geometry, n, drift)
     p = seed.astype(float).copy()
     p[-1] = bc_right
     ball = geometry.kind == "ball"
@@ -192,8 +192,8 @@ def newton_steady(
 
     res = residual_vec(p)
     norm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if norm < _NEWTON_TOL:
             break
         jl = lower.copy()
         jd = diag + nl.fprime(p)
@@ -210,7 +210,7 @@ def newton_steady(
             trial = p + step * delta
             tres = residual_vec(trial)
             tnorm = np.max(np.abs(tres))
-            if tnorm < norm * (1.0 - 0.25 * step) or tnorm < tol:
+            if tnorm < norm * (1.0 - 0.25 * step) or tnorm < _NEWTON_TOL:
                 p, res, norm = trial, tres, tnorm
                 break
             step *= 0.5

@@ -10,9 +10,8 @@ Three energies appear throughout:
 
 Quadrature is composite Simpson on the uniform grid with the radial
 measure r^{d-1} (times the sphere area) on balls.  Strong drifts push
-N^{2/sigma} far outside floating-point range, so sign tests run on a
-max-shifted weight; reported values recover the unshifted scale where
-representable.
+N^{2/sigma} far outside floating-point range, so every weighted energy
+runs on the weight divided by its max and reports that log-shift.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class EnergyReport:
     value: float
     gradient_part: float
     potential_part: float
-    profile_id: str = ""
-    log_shift: float = 0.0  # parts are scaled by exp(-log_shift)
+    log_shift: float  # parts are scaled by exp(-log_shift)
 
 
 def phase_energy(nl: BistableNonlinearity, p, v):
@@ -70,26 +68,19 @@ def _measure(geometry: DomainGeometry, x: np.ndarray) -> np.ndarray:
     return np.ones_like(x)
 
 
-def _log_weight(drift_or_N, sigma: float, x: np.ndarray) -> np.ndarray:
-    if isinstance(drift_or_N, DriftField):
-        ln_n = drift_or_N.ln_N(x)
-    else:
-        vals = np.asarray(drift_or_N(x), dtype=float)
-        if np.any(vals <= 0.0):
-            raise InvalidInput("invalid-N: density must be positive")
-        ln_n = np.log(vals)
-    return (2.0 / sigma) * ln_n
+def _log_weight(N_profile: DriftField, sigma: float, x: np.ndarray) -> np.ndarray:
+    """(2/sigma) ln N on the nodes x: the log of the weight N^{2/sigma}."""
+    return (2.0 / sigma) * N_profile.ln_N(x)
 
 
-def energy_sigma(nl: BistableNonlinearity, N_profile, sigma: float,
-                 p_profile: GridProfile, geometry: DomainGeometry,
-                 _shifted: bool = False) -> EnergyReport:
+def energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
+                 p_profile: GridProfile, geometry: DomainGeometry) -> EnergyReport:
     """Weighted energy of a zero-boundary profile.
 
-    ``N_profile`` is a DriftField or a positive callable; F uses the
-    extension-by-zero convention.  With ``_shifted`` the weight is
-    normalized by its max (sign and minimizers unchanged) which keeps
-    extreme sigmas representable; the applied shift is reported.
+    ``N_profile`` is the drift whose density N gives the weight; F uses
+    the extension-by-zero convention.  The weight is normalized by its
+    max (sign and minimizers unchanged), which keeps extreme sigmas
+    representable; the applied shift is reported.
     """
     vals = p_profile.values
     x = p_profile.x
@@ -97,7 +88,7 @@ def energy_sigma(nl: BistableNonlinearity, N_profile, sigma: float,
     if abs(vals[-1]) > 1e-12 or (geometry.kind == "interval" and abs(vals[0]) > 1e-12):
         raise InvalidInput("bc-violation: energy profiles must vanish on the boundary")
     logw = _log_weight(N_profile, sigma, x)
-    shift = float(np.max(logw)) if _shifted else 0.0
+    shift = float(np.max(logw))
     w = np.exp(logw - shift)
     meas = _measure(geometry, x)
     grad = np.gradient(vals, h, edge_order=2)
@@ -135,28 +126,27 @@ def ramp_v_delta(delta: float, geometry: DomainGeometry, n: int) -> GridProfile:
     return GridProfile(geometry, vals)
 
 
-def negative_energy_sigma_threshold(nl: BistableNonlinearity, N_profile,
+def negative_energy_sigma_threshold(nl: BistableNonlinearity, N_profile: DriftField,
                                     geometry: DomainGeometry, delta: float,
-                                    n: int = 2049,
-                                    sigma_lo: float = 1e-6, sigma_hi: float = 1e6
-                                    ) -> tuple[float, str]:
-    """Sign-change threshold sigma* of sigma -> E_sigma(eta).
+                                    n: int = 2049) -> tuple[float, str]:
+    """Sign-change threshold sigma* of sigma -> E_sigma(eta) on the
+    probed window [1e-6, 1e6].
 
     Returns (sigma*, "bracketed") with two-digit relative accuracy, the
     sentinel (0.0, "always-negative") when the energy is already
-    negative at the largest probed sigma, and (inf, "never-negative")
-    when no sign change exists in the probed window.
+    negative at sigma = 1e6, and (inf, "never-negative") when no sign
+    change exists in the window.
     """
     eta = plateau_ramp_eta(delta, geometry, n)
 
     def sign_at(sigma: float) -> float:
-        return energy_sigma(nl, N_profile, sigma, eta, geometry, _shifted=True).value
+        return energy_sigma(nl, N_profile, sigma, eta, geometry).value
 
-    if sign_at(sigma_hi) < 0.0:
+    if sign_at(1e6) < 0.0:
         return 0.0, "always-negative"
-    if sign_at(sigma_lo) >= 0.0:
+    if sign_at(1e-6) >= 0.0:
         return math.inf, "never-negative"
-    lo, hi = math.log(sigma_lo), math.log(sigma_hi)
+    lo, hi = math.log(1e-6), math.log(1e6)
     while hi - lo > math.log(1.02):
         mid = 0.5 * (lo + hi)
         if sign_at(math.exp(mid)) < 0.0:
@@ -166,8 +156,8 @@ def negative_energy_sigma_threshold(nl: BistableNonlinearity, N_profile,
     return float(math.exp(0.5 * (lo + hi))), "bracketed"
 
 
-def laplace_ratio_check(c0: float, d: int, phi, eps_list, r1: float = 1.0) -> list[float]:
-    """Ratios int_0^{r1} t^{d-1} phi(t) e^{-c0 t^2/eps} dt / (phi(0) eps^{d/2}).
+def laplace_ratio_check(c0: float, d: int, phi, eps_list) -> list[float]:
+    """Ratios int_0^1 t^{d-1} phi(t) e^{-c0 t^2/eps} dt / (phi(0) eps^{d/2}).
 
     The sequence must converge to M(c0, d) = Gamma(d/2) / (2 c0^{d/2})
     as eps decreases (Gaussian closed form of the Laplace method).
@@ -181,15 +171,15 @@ def laplace_ratio_check(c0: float, d: int, phi, eps_list, r1: float = 1.0) -> li
     ratios = []
     for eps in eps_arr:
         width = math.sqrt(eps / c0)
-        n_nodes = int(min(400001, max(4001, 40.0 * r1 / width))) | 1
-        t = np.linspace(0.0, r1, n_nodes)
+        n_nodes = int(min(400001, max(4001, 40.0 / width))) | 1
+        t = np.linspace(0.0, 1.0, n_nodes)
         integrand = t ** (d - 1) * np.asarray(phi(t), dtype=float) * np.exp(-c0 * t**2 / eps)
         val = simpson(integrand, dx=t[1] - t[0])
         ratios.append(float(val / (phi0 * eps ** (d / 2.0))))
     return ratios
 
 
-def minimize_energy_sigma(nl: BistableNonlinearity, N_profile, sigma: float,
+def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
                           geometry: DomainGeometry, n: int,
                           p_init: Optional[GridProfile] = None,
                           max_iter: int = 10000) -> tuple[GridProfile, EnergyReport]:
@@ -256,6 +246,5 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile, sigma: float,
         p, energy = q, e_new
         if moved < 1e-13:
             break
-    report = energy_sigma(nl, N_profile, sigma,
-                          GridProfile(geometry, p), geometry, _shifted=True)
+    report = energy_sigma(nl, N_profile, sigma, GridProfile(geometry, p), geometry)
     return GridProfile(geometry, p), report

@@ -51,6 +51,13 @@ class Scenario:
     seed: int
 
     def initial_profile(self) -> GridProfile:
+        """The p0 block on the scenario grid; InvalidInput when it is not a
+        proportion profile (a value leaves [0, 1])."""
+        prof = self._p0_profile()
+        prof.check_proportion()
+        return prof
+
+    def _p0_profile(self) -> GridProfile:
         kind = self.p0_spec.get("kind", "const")
         if kind == "const":
             return GridProfile(self.geometry,
@@ -63,9 +70,13 @@ class Scenario:
             path = str(_need(self.p0_spec, "path", "p0"))
             if not os.path.exists(path):
                 raise InvalidInput(f"invalid-scenario: p0.path not found: {path}")
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
-            x = self.geometry.grid(self.n)
-            return GridProfile(self.geometry, np.interp(x, data[:, 0], data[:, 1]))
+            try:  # the meta row and the x,p header of a CSV this package wrote
+                data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+                vals = np.interp(self.geometry.grid(self.n), data[:, 0], data[:, 1])
+            except (ValueError, IndexError):
+                raise InvalidInput(f"invalid-scenario: p0.path {path} is not an x,p CSV "
+                                   "after two header rows") from None
+            return GridProfile(self.geometry, vals)
         # kind "barrier-seeded"
         from .steady import find_barrier_one, find_barrier_zero
 
@@ -242,13 +253,7 @@ def write_csv(path: str, header: list, rows, raw_scenario: dict) -> None:
     meta = f"# scenario={scenario_hash(raw_scenario)} rdcontrol={__version__}"
     lines = [f'"{meta}"', ",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append("inf" if math.isinf(v) else f"{v:.10g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

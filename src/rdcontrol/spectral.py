@@ -51,8 +51,11 @@ def _weight_on_grid(weight, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def weighted_lambda1(geometry: DomainGeometry, weight, n: int, tol: float = 1e-12,
-                     max_iter: int = 10000) -> EigenResult:
+_EIGEN_TOL = 1e-12  # inverse iteration stops when lambda moves less than this
+_EIGEN_MAX_ITER = 10000
+
+
+def weighted_lambda1(geometry: DomainGeometry, weight, n: int) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet form.
 
     ``weight`` is a callable or an array of positive values on the
@@ -104,12 +107,12 @@ def weighted_lambda1(geometry: DomainGeometry, weight, n: int, tol: float = 1e-1
     lam_prev = np.inf
     lam = 0.0
     factor = factor_tridiagonal(lower, diag, upper)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EIGEN_MAX_ITER + 1):
         v = solve_tridiagonal(factor, mass * u)
         ku = apply_operator(lower, diag, upper, v)
         lam = float((v @ ku) / (v @ (mass * v)))
         u = v / np.sqrt(v @ (mass * v))
-        if abs(lam - lam_prev) < tol:
+        if abs(lam - lam_prev) < _EIGEN_TOL:
             break
         lam_prev = lam
     else:
@@ -135,17 +138,17 @@ def lambda_sigma(geometry: DomainGeometry, drift: DriftField, n: int) -> EigenRe
     return weighted_lambda1(geometry, lambda x: drift.weight_sigma(x, shift=shift), n)
 
 
-def lambda1_whole_space(drift: DriftField, d: int, n_per_unit: int = 96,
-                        tol: float = 1e-3, r_start: float = 2.0, r_max: float = 64.0) -> float:
-    """Whole-space weighted eigenvalue, approximated on growing balls
-    until the value changes by less than ``tol`` relative."""
-    R = r_start
+def lambda1_whole_space(drift: DriftField, d: int) -> float:
+    """Whole-space weighted eigenvalue, approximated on balls of radius
+    2, 4, ..., 64 (96 nodes per unit length) until the value changes by
+    less than 1e-3 relative."""
+    R = 2.0
     prev = None
-    while R <= r_max:
+    while R <= 64.0:
         geom = DomainGeometry.ball(R, d) if d > 1 else DomainGeometry.interval(R)
-        n = max(65, int(n_per_unit * R) | 1)
+        n = max(65, int(96 * R) | 1)
         lam = weighted_lambda1(geom, lambda x: drift.weight2(x), n).lambda_
-        if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-30):
+        if prev is not None and abs(lam - prev) <= 1e-3 * max(abs(lam), 1e-30):
             return lam
         prev = lam
         R *= 2.0

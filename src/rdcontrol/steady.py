@@ -63,9 +63,6 @@ class RadialTrajectory:
     blow_up: bool
     exit_reason: str
 
-    def first_crossing(self, level: str) -> Optional[float]:
-        return self.events.get(level)
-
 
 @dataclass(frozen=True)
 class Barrier:
@@ -155,13 +152,15 @@ def _rk4(rhs, r, p, v, h):
             v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
+_V_LIMIT = 1e3  # |p'| at which a shot counts as blown up
+
+
 def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
-                 alpha: float, d: int, r_max: float, h: float,
-                 v_limit: float = 1e3) -> RadialTrajectory:
+                 alpha: float, d: int, r_max: float, h: float) -> RadialTrajectory:
     """Integrate the radial steady ODE outward from the center.
 
     Stops at ``r_max``, when p leaves [-0.1, 1.1] or |p'| exceeds
-    ``v_limit``.  First crossings of theta, theta/2, 1 and 0 are located
+    _V_LIMIT.  First crossings of theta, theta/2, 1 and 0 are located
     by linear interpolation between the stored samples and recorded in
     ``events``.
     """
@@ -218,7 +217,7 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
         if p < -0.1 or p > 1.1:
             exit_reason = "range-exit"
             break
-        if abs(v) > v_limit:
+        if abs(v) > _V_LIMIT:
             exit_reason = "blow-up"
             blow_up = True
             break
@@ -320,8 +319,7 @@ def _setup(drift: DriftField, sigma: float, R: float, d: int, n_grid: int):
                            "barriers live in the transformed variable; use transform-check")
     geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
     drift_eff = replace(drift, sigma=sigma)
-    lower, diag, upper, _ = assemble_operator(geometry, n_grid, drift_eff)
-    return geometry, drift_eff, (lower, diag, upper)
+    return geometry, drift_eff, assemble_operator(geometry, n_grid, drift_eff)
 
 
 def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrier]:
@@ -345,23 +343,23 @@ def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrie
     return barrier if barrier.deviation() > NONTRIVIAL_MARGIN else None
 
 
-def _with_trajectory(barrier, nl, drift, sigma, d, R, h) -> Barrier:
+def _with_trajectory(barrier, nl, drift, sigma, d, R) -> Barrier:
     """Attach the continuous shot from the search's alpha (the phase
-    portrait and crossing radii), not from the profile's clipped centre."""
+    portrait and crossing radii), not from the profile's clipped centre;
+    its maximal step is 1e-3."""
     return replace(barrier, trajectory=shoot_radial(nl, drift, sigma, barrier.alpha, d,
-                                                    1.02 * R, h))
+                                                    1.02 * R, 1e-3))
 
 
 def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
-                     R: float, d: int, n_grid: int = 801, h: float = 1e-3) -> Optional[Barrier]:
+                     R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
     """Barrier with boundary value 1 on a domain of radius R, if any.
 
     Scans the centre value alpha over (0, theta) with the discrete march
     and multisects every edge of the set of alphas whose column rises
     monotonically to 1 by the boundary node.  The lowest edge whose
     Newton polish is admissible wins (a second, upper edge can exist).
-    Returns None when no column reaches 1.  ``h`` only sets the step of
-    the continuous trajectory shot for the returned barrier.
+    Returns None when no column reaches 1.
     """
     geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
     # strong drifts push the feasibility edge to exponentially small
@@ -383,21 +381,19 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
     for a in roots:
         barrier = _marched_barrier(nl, drift_eff, geometry, ops, a, 1.0)
         if barrier is not None:
-            return _with_trajectory(barrier, nl, drift, sigma, d, R, h)
+            return _with_trajectory(barrier, nl, drift, sigma, d, R)
     return None
 
 
 def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
-                      R: float, d: int, n_grid: int = 801, h: float = 1e-3) -> Optional[Barrier]:
+                      R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
     """Barrier with boundary value 0 on a domain of radius R, if any.
 
     Scans the centre value alpha over (theta, 1) with the discrete march
     and multisects every edge of the set of alphas whose column falls
     monotonically to 0 by the boundary node.  Of the admissible Newton
     polishes (a band can have two edges) the one with the smallest
-    residual is returned.  Returns None when no column reaches 0.  ``h``
-    only sets the step of the continuous trajectory shot for the
-    returned barrier.
+    residual is returned.  Returns None when no column reaches 0.
     """
     geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
     alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
@@ -408,7 +404,7 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
     if not barriers:
         return None
     best = min(barriers, key=lambda b: b.residual)
-    return _with_trajectory(best, nl, drift, sigma, d, R, h)
+    return _with_trajectory(best, nl, drift, sigma, d, R)
 
 
 def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: float,
@@ -431,20 +427,23 @@ def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: f
 # the steady-state path
 # ---------------------------------------------------------------------------
 
+_MAX_MEMBERS = 1024  # path refinement beyond this raises continuation-failure
+
+
 def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
                       geometry: DomainGeometry, K: int = 9, delta: float = 0.05,
-                      n_grid: int = 401, max_members: int = 1024) -> SteadyPath:
+                      n_grid: int = 401) -> SteadyPath:
     """Discrete path of steady states from ~0 to the Allee constant.
 
     Members are the columns marched from the centre value s*theta, one
     lane per s, on an s-grid that is refined until consecutive sup-gaps
-    stay below ``delta``; each column is an exact discrete steady state
-    and keeps its last node as the pinned boundary trace under the Newton
-    polish.  Homogeneous and radial drifts march their own rows.
-    Slowly-varying (spatial-log) drifts march the homogeneous rows and
-    switch the advection term on gradually under Newton continuation; a
-    failed continuation retries once on a 5% inflated domain before
-    reporting the resonant parameter.
+    stay below ``delta`` (at most _MAX_MEMBERS members); each column is
+    an exact discrete steady state and keeps its last node as the pinned
+    boundary trace under the Newton polish.  Homogeneous and radial
+    drifts march their own rows.  Slowly-varying (spatial-log) drifts
+    march the homogeneous rows and switch the advection term on
+    gradually under Newton continuation; a failed continuation retries
+    once on a 5% inflated domain before reporting the resonant parameter.
     """
     if K < 2:
         raise InvalidInput("invalid-scalar: K must be >= 2")
@@ -456,7 +455,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
 
     def columns(geom, s_values) -> np.ndarray:
         """Whole-grid columns marched on ``geom`` from s*theta, one row per s."""
-        ops = assemble_operator(geom, n_grid, homog if drift.kind == "spatial-log" else drift)[:3]
+        ops = assemble_operator(geom, n_grid, homog if drift.kind == "spatial-log" else drift)
         half = _march(nl, geom, ops, np.asarray(s_values) * nl.theta, keep=True)[1]
         if not np.all(np.abs(half) <= _P_MAX):
             raise SolverFailure(f"stiff-failure: a marched path member left |p| <= {_P_MAX:g}")
@@ -504,7 +503,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
                 inserts.append(0.5 * (a + b))
         if not inserts:
             break
-        if len(s_values) + len(inserts) > max_members:
+        if len(s_values) + len(inserts) > _MAX_MEMBERS:
             raise SolverFailure("continuation-failure: path refinement exceeded member cap")
         profiles.update(zip(inserts, members(inserts)))
         s_values = sorted(s_values + inserts)

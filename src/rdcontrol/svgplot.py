@@ -11,10 +11,10 @@ W, H = 800, 600
 MARGIN = 60
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 5)
 
 
 def line_plot(path: str, series: list, title: str = "", xlabel: str = "", ylabel: str = "") -> None:

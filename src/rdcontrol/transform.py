@@ -57,10 +57,11 @@ class GeneFlowMap:
         return self._Nsq(np.clip(x, 0.0, 1.0))
 
 
-def build_map(N_of_p: Callable, n_table: int = 8193) -> GeneFlowMap:
+def build_map(N_of_p: Callable) -> GeneFlowMap:
     """Normalize N so that int_0^1 N^2 = 1 and tabulate script_N and its
-    inverse (monotone cubic interpolation of a cumulative Simpson table)."""
-    x = np.linspace(0.0, 1.0, n_table)
+    inverse (monotone cubic interpolation of a cumulative Simpson table
+    on 8193 nodes)."""
+    x = np.linspace(0.0, 1.0, 8193)
     vals = np.asarray(N_of_p(x), dtype=float)
     if vals.shape != x.shape or np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise InvalidInput("invalid-N: N(p) must be positive and finite on [0,1]")
@@ -91,16 +92,15 @@ def tilde_f(gf: GeneFlowMap, nl: BistableNonlinearity, q):
     return out if out.ndim else float(out)
 
 
-def tilde_nonlinearity(gf: GeneFlowMap, nl: BistableNonlinearity,
-                       n: int = 513) -> BistableNonlinearity:
+def tilde_nonlinearity(gf: GeneFlowMap, nl: BistableNonlinearity) -> BistableNonlinearity:
     """The transformed reaction as a validated tabulated nonlinearity
     with Allee root script_N(theta).
 
-    Samples are produced by the forward map (q_i = script_N(x_i)), so
-    the three roots are hit exactly and the bistable validation runs on
-    construction.
+    Samples are produced by the forward map (q_i = script_N(x_i)) at 513
+    nodes plus theta, so the three roots are hit exactly and the bistable
+    validation runs on construction.
     """
-    x = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), [nl.theta]]))
+    x = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), [nl.theta]]))
     q = np.asarray(gf.script_N(x), dtype=float)
     q[0], q[-1] = 0.0, 1.0
     vals = np.asarray(nl.f(x)) * np.asarray(gf.N_squared(x))
@@ -116,7 +116,7 @@ class _CnAb2:
 
     def __init__(self, geometry: DomainGeometry, n: int, dt: float):
         drift0 = DriftField.homogeneous()
-        lower, diag, upper, _ = assemble_operator(geometry, n, drift0)
+        lower, diag, upper = assemble_operator(geometry, n, drift0)
         self.exp_lo = 0.5 * dt * lower
         self.exp_di = 1.0 + 0.5 * dt * diag
         self.exp_up = 0.5 * dt * upper

@@ -210,8 +210,8 @@ def test_criterion_7_energy_threshold(nl):
         sigma_star, status = negative_energy_sigma_threshold(nl, drift, g, 0.5)
         assert status == "bracketed" and 0.0 < sigma_star < math.inf
         eta = plateau_ramp_eta(0.5, g, 2049)
-        low = energy_sigma(nl, drift, sigma_star / 2, eta, g, _shifted=True)
-        high = energy_sigma(nl, drift, 2 * sigma_star, eta, g, _shifted=True)
+        low = energy_sigma(nl, drift, sigma_star / 2, eta, g)
+        high = energy_sigma(nl, drift, 2 * sigma_star, eta, g)
         assert low.value < 0.0 < high.value
         n = 513
         prof, rep = minimize_energy_sigma(nl, drift, sigma_star / 2, g, n,

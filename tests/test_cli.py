@@ -131,6 +131,12 @@ class TestCsv:
         b2 = (tmp_path / "o2" / "eigenprofile.csv").read_bytes()
         assert b1 == b2
 
+    def test_negative_infinity_round_trips(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ["a", "b"], [(-math.inf, math.inf)], {})
+        assert path.read_text().splitlines()[2] == "-inf,inf"
+        assert np.loadtxt(path, delimiter=",", skiprows=2).tolist() == [-math.inf, math.inf]
+
 
 def _write_scenario(tmp_path, obj, name="sc.json"):
     p = tmp_path / name
@@ -258,6 +264,24 @@ class TestCommands:
         csv = [(tmp / o / "simulate_to_0.csv").read_bytes() for o in "ab"]
         assert csv[0] == csv[1]
 
+    def test_report_unblocking_preset(self, tmp_path):
+        assert main(["preset", "unblocking", "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        targets = ("to_zero", "to_one", "to_theta")
+        assert sorted(rep) == sorted(targets)
+        assert all(rep[k]["status"] == "converged" for k in targets)
+        assert rep["to_theta"]["time"] == pytest.approx(4.54, abs=1e-9)
+        rows = (tmp_path / "o" / "report.csv").read_text().splitlines()[2:]
+        assert rows == [f"{k},{rep[k]['status']},{rep[k]['time']:.10g}" for k in targets]
+
+    def test_energy_demo_preset(self, tmp_path):
+        assert main(["preset", "energy_demo", "--out", str(tmp_path / "o")]) == 0
+        info = json.loads((tmp_path / "o" / "energy.json").read_text())
+        assert info["status"] == "bracketed"
+        assert info["sigma_star"] == pytest.approx(0.09624949011575207, abs=1e-6)
+        scan = np.loadtxt(tmp_path / "o" / "energy_scan.csv", delimiter=",", skiprows=2)
+        assert scan.shape == (9, 4) and np.all(np.isfinite(scan))
+
     def test_mintime_command(self, tmp_path):
         rc = main(["mintime", "--scenario", _write_scenario(tmp_path, {
             "experiment": "mintime-scan", "family": "gauss_in",
@@ -301,3 +325,39 @@ class TestCommands:
             sc = load_scenario({"preset": name})
             assert sc.experiment in ("barriers", "simulate", "report", "mintime-scan",
                                      "eigen", "energy", "transform-check")
+
+
+class TestInitialProfile:
+    """p0 blocks run through ``simulate`` on fig6_strong with T = 5."""
+
+    @staticmethod
+    def _simulate(tmp_path, p0):
+        sc = _write_scenario(tmp_path, {"preset": "fig6_strong", "targets": [0], "T": 5.0,
+                                        "p0": p0})
+        return main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")])
+
+    def test_profile_reads_a_barrier_csv_of_this_package(self, tmp_path):
+        assert main(["preset", "fig5_strong", "--out", str(tmp_path / "b")]) == 0
+        path = str(tmp_path / "b" / "barrier_0.csv")
+        assert self._simulate(tmp_path, {"kind": "profile", "path": path}) == 0
+        assert json.loads((tmp_path / "o" / "verdict.json").read_text())["0"]["status"] == "blocked"
+
+    def test_barrier_seeded(self, tmp_path):
+        assert self._simulate(tmp_path, {"kind": "barrier-seeded", "boundary": 0}) == 0
+        assert json.loads((tmp_path / "o" / "verdict.json").read_text())["0"]["status"] == "blocked"
+
+    def test_const_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        assert self._simulate(tmp_path, {"kind": "const", "value": 1.5}) == 2
+        assert "proportion outside [0,1]" in capsys.readouterr().err
+
+    def test_profile_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "p.csv")
+        write_csv(path, ["x", "p"], [(-2.5, 2.0), (2.5, 2.0)], {})
+        assert self._simulate(tmp_path, {"kind": "profile", "path": path}) == 2
+        assert "proportion outside [0,1]" in capsys.readouterr().err
+
+    def test_unparsable_profile_names_the_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text('"# meta"\nx,p\n0.0,half\n')
+        assert self._simulate(tmp_path, {"kind": "profile", "path": str(path)}) == 2
+        assert f"p0.path {path} is not an x,p CSV" in capsys.readouterr().err

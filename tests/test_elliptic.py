@@ -29,7 +29,7 @@ def banded(lower, diag, upper, rhs):
 
 def stepper_matrix(geometry, n, drift, dt):
     """The implicit IMEX matrix I - dt A with pinned boundary rows."""
-    lower, diag, upper, _ = assemble_operator(geometry, n, drift)
+    lower, diag, upper = assemble_operator(geometry, n, drift)
     lo, di, up = -dt * lower, 1.0 - dt * diag, -dt * upper
     lo[-1], di[-1], up[-1] = 0.0, 1.0, 0.0
     if geometry.kind != "ball":
@@ -67,7 +67,7 @@ class TestBitIdentity:
 
     def test_newton_jacobian(self, nl033, gauss_out, interval_25):
         p = find_barrier_zero(nl033, gauss_out, 1.0, 2.5, 1, n_grid=201).profile.values
-        lower, diag, upper, _ = assemble_operator(interval_25, p.size, gauss_out)
+        lower, diag, upper = assemble_operator(interval_25, p.size, gauss_out)
         jd = diag + nl033.fprime(p)
         jd[0] = jd[-1] = 1.0
         lower[-1] = upper[0] = 0.0
