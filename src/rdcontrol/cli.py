@@ -87,7 +87,7 @@ def _emit(sc: Scenario, name: str, info: dict) -> int:
 
 
 def _run_barriers(sc: Scenario) -> int:
-    from .steady import find_barrier_one, find_barrier_zero
+    from .steady import find_barrier_one, find_barrier_zero, shoot_radial
     from .svgplot import phase_portrait
 
     d = sc.geometry.d if sc.geometry.kind == "ball" else 1
@@ -96,7 +96,7 @@ def _run_barriers(sc: Scenario) -> int:
     events = {}
     for bv in boundaries:
         finder = find_barrier_one if bv == 1 else find_barrier_zero
-        barrier = finder(sc.nl, sc.drift, sc.drift.sigma, R, d, n_grid=sc.n)
+        barrier = finder(sc.nl, sc.drift, R, d, n_grid=sc.n)
         tag = f"barrier_{bv}"
         if barrier is None:
             events[tag] = {"exists": False}
@@ -106,7 +106,9 @@ def _run_barriers(sc: Scenario) -> int:
         events[tag] = {"exists": True, "residual": barrier.residual,
                        "p_min": barrier.p_min, "p_max": barrier.p_max,
                        "alpha": barrier.alpha}
-        tr = barrier.trajectory
+        # the continuous shot from the search's alpha, not from the
+        # profile's clipped centre: the phase portrait and crossing radii
+        tr = shoot_radial(sc.nl, sc.drift, sc.drift.sigma, barrier.alpha, d, 1.02 * R, 1e-3)
         write_csv(os.path.join(sc.out_dir, f"{tag}_trajectory.csv"), ["r", "p", "v"],
                   zip(tr.r.tolist(), tr.p.tolist(), tr.v.tolist()), sc.raw)
         events[tag]["events"] = {k: v for k, v in tr.events.items()}

@@ -21,6 +21,7 @@ further time stepping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -98,8 +99,8 @@ def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
 
 
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       geometry: DomainGeometry, delta1: float = 0.05, T1: float = 20.0,
-                       T_max: float = 300.0, dt: float = 0.02, gain: float = 1.0,
+                       geometry: DomainGeometry, T_max: float, delta1: float = 0.05,
+                       T1: float = 20.0, dt: float = 0.02, gain: float = 1.0,
                        path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
@@ -170,16 +171,16 @@ class TargetVerdict:
 
 
 def controllability_report(nl: BistableNonlinearity, drift: DriftField,
-                           geometry: DomainGeometry, n: int = 201, dt: float = 0.02,
-                           T_max: float = 150.0, delta1: float = 0.05, T1: float = 20.0
-                           ) -> dict:
+                           geometry: DomainGeometry, n: int, dt: float, T_max: float,
+                           delta1: float = 0.05, T1: float = 20.0) -> dict:
     """Verdicts for the three homogeneous targets with blocking witnesses.
 
     Targets 0 and 1 run static controls from the extreme data (p0 = 1,
     resp. 0), which dominate every admissible initial state by the
     comparison principle, and are decided with verdict tolerance 1e-3;
     theta runs the staircase from p0 = 1.  Blocked verdicts attach the
-    matching barrier as a witness when one is found.
+    matching barrier as a witness when one is found; each barrier is
+    searched for at most once and shared by the verdicts that cite it.
     """
     R = geometry.inradius()
     d = geometry.d if geometry.kind == "ball" else 1
@@ -187,8 +188,9 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
     zeros = GridProfile(geometry, np.zeros(n))
     report = {}
 
+    @functools.cache
     def witness(finder) -> Optional[Barrier]:
-        return finder(nl, drift, drift.sigma, R, d, n_grid=n)
+        return finder(nl, drift, R, d, n_grid=n)
 
     v0 = asymptotic_verdict(ones, nl, drift, 0.0, T_max, dt)
     w0 = witness(find_barrier_zero) if v0.status == "blocked" else None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
@@ -180,8 +179,7 @@ def laplace_ratio_check(c0: float, d: int, phi, eps_list) -> list[float]:
 
 
 def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
-                          geometry: DomainGeometry, n: int,
-                          p_init: Optional[GridProfile] = None,
+                          geometry: DomainGeometry, n: int, p_init: GridProfile,
                           max_iter: int = 10000) -> tuple[GridProfile, EnergyReport]:
     """Projected gradient descent of the weighted energy over profiles
     clipped to [0, 1] with zero boundary values.
@@ -200,8 +198,6 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
     mw = w * meas
     mw_mid = 0.5 * (mw[:-1] + mw[1:])
 
-    if p_init is None:
-        p_init = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
     p = np.clip(p_init.values.copy(), 0.0, 1.0)
     p[-1] = 0.0
     first = 0 if geometry.kind == "ball" else 1

@@ -223,7 +223,7 @@ class DriftField:
         return cls(kind="radial", family=family, sigma=sigma)
 
     @classmethod
-    def spatial_log(cls, b: Callable, sigma: float, ln_N: Optional[Callable] = None) -> "DriftField":
+    def spatial_log(cls, b: Callable, sigma: float, ln_N: Callable) -> "DriftField":
         return cls(kind="spatial-log", sigma=sigma, b_func=b, ln_N_func=ln_N)
 
     @classmethod

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,9 +72,11 @@ class Scenario:
             if not os.path.exists(path):
                 raise InvalidInput(f"invalid-scenario: p0.path not found: {path}")
             try:  # the meta row and the x,p header of a CSV this package wrote
-                data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # an empty table only warns
+                    data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
                 vals = np.interp(self.geometry.grid(self.n), data[:, 0], data[:, 1])
-            except (ValueError, IndexError):
+            except (ValueError, IndexError, UserWarning):
                 raise InvalidInput(f"invalid-scenario: p0.path {path} is not an x,p CSV "
                                    "after two header rows") from None
             return GridProfile(self.geometry, vals)
@@ -83,8 +86,7 @@ class Scenario:
         bv = _num(self.p0_spec, "boundary", "p0", 0.0)
         d = self.geometry.d if self.geometry.kind == "ball" else 1
         finder = find_barrier_zero if bv == 0.0 else find_barrier_one
-        b = finder(self.nl, self.drift, self.drift.sigma,
-                   self.geometry.inradius(), d, n_grid=self.n)
+        b = finder(self.nl, self.drift, self.geometry.inradius(), d, n_grid=self.n)
         if b is None:
             raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
         return b.profile

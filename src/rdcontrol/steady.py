@@ -19,14 +19,16 @@ package's own time stepper.
 ``shoot_radial`` integrates the continuous problem
 p'' = -f(p) - ((2/sigma) b(r) + (d-1)/r) p', p(0) = alpha, p'(0) = 0 with
 an adaptive step-doubling RK4 (p''(0) = -f(alpha)/d regularizes the
-origin, the first step is a Taylor step); it gives a returned barrier
-its phase-plane trajectory and crossing radii.
+origin, the first step is a Taylor step).  It is the continuum
+reference, not part of the search: the ``barriers`` experiment shoots
+from a returned barrier's ``alpha`` for the phase-plane trajectory and
+crossing radii.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,7 +76,6 @@ class Barrier:
     p_min: float
     p_max: float
     alpha: float  # centre value the discrete march started from
-    trajectory: Optional[RadialTrajectory] = field(default=None, repr=False)
 
     def deviation(self) -> float:
         return float(np.max(np.abs(self.profile.values - self.boundary_value)))
@@ -312,17 +313,16 @@ def _edges(nl, geometry, ops, alphas, feasible, target) -> list[float]:
     return list(np.where(f_lo, hi, lo))
 
 
-def _setup(drift: DriftField, sigma: float, R: float, d: int, n_grid: int):
-    """Geometry, effective drift and grid operator of a barrier search."""
+def _setup(drift: DriftField, R: float, d: int, n_grid: int):
+    """Geometry and grid operator of a barrier search."""
     if drift.kind == "infection":
         raise InvalidInput("invalid-drift-kind: an infection drift depends on p, so its "
                            "barriers live in the transformed variable; use transform-check")
     geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
-    drift_eff = replace(drift, sigma=sigma)
-    return geometry, drift_eff, assemble_operator(geometry, n_grid, drift_eff)
+    return geometry, assemble_operator(geometry, n_grid, drift)
 
 
-def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrier]:
+def _marched_barrier(nl, drift, geometry, ops, alpha, bv) -> Optional[Barrier]:
     """Barrier seeded by the column marched from ``alpha``, extended by
     ``bv`` past its reach node, mirrored onto an interval grid and
     Newton-polished with the boundary pinned to ``bv``; None when Newton
@@ -332,7 +332,7 @@ def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrie
     half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
     half[:column.size] = column
     try:
-        vals, residual = newton_steady(geometry, drift_eff, nl, _unfold(geometry, n, half), bv, bv)
+        vals, residual = newton_steady(geometry, drift, nl, _unfold(geometry, n, half), bv, bv)
     except SolverFailure:
         return None
     if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
@@ -343,15 +343,7 @@ def _marched_barrier(nl, drift_eff, geometry, ops, alpha, bv) -> Optional[Barrie
     return barrier if barrier.deviation() > NONTRIVIAL_MARGIN else None
 
 
-def _with_trajectory(barrier, nl, drift, sigma, d, R) -> Barrier:
-    """Attach the continuous shot from the search's alpha (the phase
-    portrait and crossing radii), not from the profile's clipped centre;
-    its maximal step is 1e-3."""
-    return replace(barrier, trajectory=shoot_radial(nl, drift, sigma, barrier.alpha, d,
-                                                    1.02 * R, 1e-3))
-
-
-def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
+def find_barrier_one(nl: BistableNonlinearity, drift: DriftField,
                      R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
     """Barrier with boundary value 1 on a domain of radius R, if any.
 
@@ -361,7 +353,7 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
     Newton polish is admissible wins (a second, upper edge can exist).
     Returns None when no column reaches 1.
     """
-    geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
+    geometry, ops = _setup(drift, R, d, n_grid)
     # strong drifts push the feasibility edge to exponentially small
     # alpha (Gronwall: theta <= alpha e^{2 r^2/sigma + ...}); the scan
     # floor is the first infeasible one of 1e-7 * 1e-6^k, or 1e-91
@@ -379,13 +371,13 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField, sigma: float,
             return None
         roots = [max(zip(reach[feasible], alphas[feasible]))[1]]
     for a in roots:
-        barrier = _marched_barrier(nl, drift_eff, geometry, ops, a, 1.0)
+        barrier = _marched_barrier(nl, drift, geometry, ops, a, 1.0)
         if barrier is not None:
-            return _with_trajectory(barrier, nl, drift, sigma, d, R)
+            return barrier
     return None
 
 
-def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
+def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
                       R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
     """Barrier with boundary value 0 on a domain of radius R, if any.
 
@@ -395,26 +387,22 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField, sigma: float,
     polishes (a band can have two edges) the one with the smallest
     residual is returned.  Returns None when no column reaches 0.
     """
-    geometry, drift_eff, ops = _setup(drift, sigma, R, d, n_grid)
+    geometry, ops = _setup(drift, R, d, n_grid)
     alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
     reach = _march(nl, geometry, ops, alphas, 0.0)[0]
-    candidates = [_marched_barrier(nl, drift_eff, geometry, ops, a, 0.0)
+    candidates = [_marched_barrier(nl, drift, geometry, ops, a, 0.0)
                   for a in _edges(nl, geometry, ops, alphas, reach < n_grid, 0.0)]
-    barriers = [b for b in candidates if b is not None]
-    if not barriers:
-        return None
-    best = min(barriers, key=lambda b: b.residual)
-    return _with_trajectory(best, nl, drift, sigma, d, R)
+    return min((b for b in candidates if b is not None), key=lambda b: b.residual, default=None)
 
 
-def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField, sigma: float,
+def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField,
                            d: int, R_probe_grid) -> float:
     """Smallest probed radius from which boundary-1 barriers persist for
     every larger probe; +inf when no probe succeeds."""
     probes = np.asarray(R_probe_grid, dtype=float)
     if np.any(np.diff(probes) <= 0.0):
         raise InvalidInput("invalid-grid: probe grid must increase")
-    success = [find_barrier_one(nl, drift, sigma, R, d) is not None for R in probes]
+    success = [find_barrier_one(nl, drift, R, d) is not None for R in probes]
     r_star = math.inf
     for ok, R in zip(reversed(success), reversed(probes)):
         if not ok:

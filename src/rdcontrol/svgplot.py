@@ -17,7 +17,7 @@ def _ticks(lo: float, hi: float):
     return np.linspace(lo, hi, 5)
 
 
-def line_plot(path: str, series: list, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def line_plot(path: str, series: list, title: str, xlabel: str, ylabel: str) -> None:
     """series: list of (x_array, y_array, color, label)."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -37,8 +37,7 @@ def line_plot(path: str, series: list, title: str = "", xlabel: str = "", ylabel
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
              f'viewBox="0 0 {W} {H}">',
              f'<rect width="{W}" height="{H}" fill="white"/>']
-    if title:
-        parts.append(f'<text x="{W/2}" y="24" text-anchor="middle" font-size="16">{title}</text>')
+    parts.append(f'<text x="{W/2}" y="24" text-anchor="middle" font-size="16">{title}</text>')
     ax = f'stroke="black" stroke-width="1"'
     parts.append(f'<line x1="{MARGIN}" y1="{H-MARGIN}" x2="{W-MARGIN}" y2="{H-MARGIN}" {ax}/>')
     parts.append(f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{H-MARGIN}" {ax}/>')
@@ -50,11 +49,9 @@ def line_plot(path: str, series: list, title: str = "", xlabel: str = "", ylabel
         parts.append(f'<line x1="{MARGIN-5}" y1="{sy(t):.1f}" x2="{MARGIN}" y2="{sy(t):.1f}" {ax}/>')
         parts.append(f'<text x="{MARGIN-8}" y="{sy(t)+4:.1f}" text-anchor="end" '
                      f'font-size="11">{t:.3g}</text>')
-    if xlabel:
-        parts.append(f'<text x="{W/2}" y="{H-12}" text-anchor="middle" font-size="13">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="16" y="{H/2}" text-anchor="middle" font-size="13" '
-                     f'transform="rotate(-90 16 {H/2})">{ylabel}</text>')
+    parts.append(f'<text x="{W/2}" y="{H-12}" text-anchor="middle" font-size="13">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{H/2}" text-anchor="middle" font-size="13" '
+                 f'transform="rotate(-90 16 {H/2})">{ylabel}</text>')
     for i, (x, y, color, label) in enumerate(series):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -70,7 +67,7 @@ def line_plot(path: str, series: list, title: str = "", xlabel: str = "", ylabel
         fh.write("\n".join(parts) + "\n")
 
 
-def phase_portrait(path: str, nl, trajectory, title: str = "") -> None:
+def phase_portrait(path: str, nl, trajectory, title: str) -> None:
     """(p, p') trajectory with the two level sets of the phase energy
     E = v^2/2 + F(p) at heights F(1) (red) and F(0) (blue) overlaid."""
     series = [(trajectory.p, trajectory.v, "black", "trajectory")]

@@ -98,15 +98,17 @@ def test_criterion_1_figure_4_5_barriers(nl, monkeypatch):
 
         monkeypatch.setattr(steady, "shoot_radial", counting_shoot)
         monkeypatch.setattr(steady, "_march", counting_march)
-        b1 = find_barrier_one(nl, DriftField.radial("gauss_out", s1), s1, 2.5, 1)
-        b0 = find_barrier_zero(nl, DriftField.radial("gauss_out", s0), s0, 2.5, 1)
+        drift1 = DriftField.radial("gauss_out", s1)
+        b1 = find_barrier_one(nl, drift1, 2.5, 1)
+        b0 = find_barrier_zero(nl, DriftField.radial("gauss_out", s0), 2.5, 1)
         assert b1 is not None, f"no boundary-1 barrier at sigma={s1:g}, L=2.5"
         assert b0 is not None, f"no boundary-0 barrier at sigma={s0:g}, L=2.5"
         for b in (b1, b0):
             assert b.residual < 1e-6
             assert b.deviation() > 0.1
-        # phase trajectory crosses both energy level sets
-        tr = b1.trajectory
+        # phase trajectory, shot as the barriers experiment shoots it,
+        # crosses both energy level sets
+        tr = steady.shoot_radial(nl, drift1, s1, b1.alpha, 1, 1.02 * 2.5, 1e-3)
         E = 0.5 * tr.v**2 + np.asarray(nl.F(tr.p))
         assert E[0] < 0.0 < float(nl.F(1.0)) < E[-1]
         assert sum(steps) <= _STEP_BUDGET, (
@@ -127,7 +129,7 @@ def test_criterion_2_figure_6_blocking(nl):
                                 T_max=150.0, dt=0.02)
         assert v0.status == "blocked", f"run to 0 {v0.status} at sigma={sigma:g}"
         assert v1.status == "blocked", f"run to 1 {v1.status} at sigma={sigma:g}"
-        witness = find_barrier_zero(nl, drift, sigma, 2.5, 1, n_grid=201)
+        witness = find_barrier_zero(nl, drift, 2.5, 1, n_grid=201)
         assert witness is not None, f"no barrier-to-0 witness at sigma={sigma:g}"
         assert np.min(v0.residual_profile.values - witness.profile.values) >= -1e-6
         assert time.monotonic() - t0 < 30.0
@@ -157,7 +159,7 @@ def test_criterion_4_certificate_barrier_sweep(nl):
         for L in np.linspace(0.5, 4.0, 20):
             g = DomainGeometry.interval(float(L))
             holds = uniqueness_certificate(nl, homog, g).holds
-            barrier = find_barrier_zero(nl, homog, 1.0, float(L), 1, n_grid=401)
+            barrier = find_barrier_zero(nl, homog, float(L), 1, n_grid=401)
             if holds:
                 crossover_lo.append(L)
             else:
@@ -303,7 +305,7 @@ def test_criterion_11_invariant_suite(nl):
             assert np.max(s.profile.values) <= 1.0 + 1e-9
 
         # steady states are fixed points of the dynamics
-        b = find_barrier_zero(nl, DriftField.radial("gauss_out", 1.0), 1.0, 2.5, 1,
+        b = find_barrier_zero(nl, DriftField.radial("gauss_out", 1.0), 2.5, 1,
                               n_grid=121)
         st = PdeState(0.0, b.profile, DriftField.radial("gauss_out", 1.0))
         for _ in range(50):

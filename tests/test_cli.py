@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestCommands:
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
 
+    def test_barrier_trajectory_starts_from_the_search_alpha(self, tmp_path):
+        # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25 and the
+        # profile's centre clips to ~0: the shot starts from alpha instead
+        assert main(["barriers", "--scenario", _write_scenario(tmp_path, {
+            "experiment": "barriers", "boundary": 1, "n": 401,
+            "drift": {"kind": "radial", "family": "gauss_out", "sigma": 0.1},
+            "domain": {"kind": "interval", "L": 2.5}}), "--out", str(tmp_path / "o")]) == 0
+        alpha = json.loads((tmp_path / "o" / "events.json").read_text())["barrier_1"]["alpha"]
+        assert 0.0 < alpha < 1e-20
+        first = (tmp_path / "o" / "barrier_1_trajectory.csv").read_text().splitlines()[2]
+        assert first.split(",")[1] == f"{alpha:.10g}"
+
     def test_transform_check_preset(self, tmp_path):
         rc = main(["preset", "transform_check", "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -273,6 +286,24 @@ class TestCommands:
         assert rep["to_theta"]["time"] == pytest.approx(4.54, abs=1e-9)
         rows = (tmp_path / "o" / "report.csv").read_text().splitlines()[2:]
         assert rows == [f"{k},{rep[k]['status']},{rep[k]['time']:.10g}" for k in targets]
+
+    def test_report_looks_each_witness_up_once_and_shoots_none(self, tmp_path, monkeypatch):
+        # fig7_report: to_zero and the staircase's barrier-to-0 cite one barrier
+        from rdcontrol import control, steady
+
+        finds, shots = [], []
+        find, shoot = control.find_barrier_zero, steady.shoot_radial
+        monkeypatch.setattr(control, "find_barrier_zero",
+                            lambda *a, **k: finds.append(a) or find(*a, **k))
+        monkeypatch.setattr(steady, "shoot_radial",
+                            lambda *a, **k: shots.append(a) or shoot(*a, **k))
+        assert main(["preset", "fig7_report", "--out", str(tmp_path / "o")]) == 0
+        assert len(finds) == 1 and not shots
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        for key in ("to_zero", "to_theta"):
+            assert rep[key]["status"] == "blocked"
+            assert rep[key]["witness"]["p_max"] == pytest.approx(0.5726740231032897, abs=1e-9)
+            assert rep[key]["witness"]["residual"] <= 1e-9
 
     def test_energy_demo_preset(self, tmp_path):
         assert main(["preset", "energy_demo", "--out", str(tmp_path / "o")]) == 0
@@ -357,7 +388,16 @@ class TestInitialProfile:
         assert "proportion outside [0,1]" in capsys.readouterr().err
 
     def test_unparsable_profile_names_the_path_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "p.csv"
-        path.write_text('"# meta"\nx,p\n0.0,half\n')
-        assert self._simulate(tmp_path, {"kind": "profile", "path": str(path)}) == 2
-        assert f"p0.path {path} is not an x,p CSV" in capsys.readouterr().err
+        # a cell that is no number, and no data row after the two header rows
+        for k, text in enumerate(['"# meta"\nx,p\n0.0,half\n', '"# meta"\nx,p\n']):
+            path = tmp_path / f"p{k}.csv"
+            path.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert self._simulate(tmp_path, {"kind": "profile", "path": str(path)}) == 2
+            # stderr as a terminal shows it: the captured text plus any warning
+            err = capsys.readouterr().err + "".join(
+                warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                for w in caught)
+            assert f"p0.path {path} is not an x,p CSV" in err
+            assert "Warning" not in err

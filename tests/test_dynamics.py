@@ -36,7 +36,7 @@ class TestStep:
 
     def test_barrier_is_fixed_point(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
-        b = find_barrier_zero(nl033, drift, 1.0, 2.5, 1, n_grid=201)
+        b = find_barrier_zero(nl033, drift, 2.5, 1, n_grid=201)
         s = PdeState(0.0, b.profile, drift)
         for _ in range(50):
             s = step(s, nl033, 0.0, 0.0, 0.02)
@@ -137,7 +137,7 @@ class TestStepProperties:
         nl = BistableNonlinearity.cubic(theta)
         drift = DriftField.radial("gauss_out", sigma)
         finder = find_barrier_one if boundary else find_barrier_zero
-        b = finder(nl, drift, sigma, L, 1, n_grid=n)
+        b = finder(nl, drift, L, 1, n_grid=n)
         if b is None:
             return
         s = PdeState(0.0, b.profile, drift)
@@ -225,7 +225,7 @@ class TestVerdicts:
     def test_blocked_with_barrier(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
         g = DomainGeometry.interval(2.5)
-        b = find_barrier_zero(nl033, drift, 1.0, 2.5, 1, n_grid=201)
+        b = find_barrier_zero(nl033, drift, 2.5, 1, n_grid=201)
         v = asymptotic_verdict(GridProfile(g, np.ones(201)), nl033, drift, 0.0,
                                T_max=80.0, dt=0.02)
         assert v.status == "blocked"
@@ -236,7 +236,7 @@ class TestVerdicts:
     def test_blocked_to_one(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
         g = DomainGeometry.interval(2.5)
-        b = find_barrier_one(nl033, drift, 1.0, 2.5, 1, n_grid=201)
+        b = find_barrier_one(nl033, drift, 2.5, 1, n_grid=201)
         v = asymptotic_verdict(GridProfile(g, np.zeros(201)), nl033, drift, 1.0,
                                T_max=80.0, dt=0.02)
         assert v.status == "blocked"

@@ -116,7 +116,7 @@ class TestShooting:
 
 class TestBarriers:
     def test_strong_drift_barrier_one(self, nl033, gauss_out):
-        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
         assert b is not None
         assert b.residual < 1e-6
         assert b.deviation() > 0.1
@@ -127,7 +127,7 @@ class TestBarriers:
         assert b.p_min < nl033.theta  # the dip crosses the Allee threshold
 
     def test_strong_drift_barrier_zero(self, nl033, gauss_out):
-        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        b = find_barrier_zero(nl033, gauss_out, 2.5, 1)
         assert b is not None
         assert b.residual < 1e-6
         assert b.deviation() > 0.1
@@ -138,7 +138,7 @@ class TestBarriers:
         # independent verification on a twice finer grid stays a solution
         from rdcontrol.elliptic import newton_steady
 
-        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 1, n_grid=401)
+        b = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=401)
         geom = b.profile.geometry
         drift_eff = DriftField.radial("gauss_out", SIGMA_STRONG)
         x_fine = geom.grid(801)
@@ -156,25 +156,26 @@ class TestBarriers:
         # sup -f(1-q)/q = 0.0272 which is even smaller).
         w_ratio = math.exp(-2.5**2 / 40.0)
         assert w_ratio * 0.3948 > ((1 - 0.33) / 2) ** 2
-        assert find_barrier_one(nl033, gauss_out, 40.0, 2.5, 1) is None
-        assert find_barrier_zero(nl033, gauss_out, 40.0, 2.5, 1) is None
+        weak = DriftField.radial("gauss_out", 40.0)
+        assert find_barrier_one(nl033, weak, 2.5, 1) is None
+        assert find_barrier_zero(nl033, weak, 2.5, 1) is None
 
     def test_homogeneous_no_barrier_one_ever(self, nl033, homog):
         # conserved phase energy makes reaching 1 from below impossible
         for L in (1.0, 2.5, 6.0):
-            assert find_barrier_one(nl033, homog, 1.0, L, 1) is None
+            assert find_barrier_one(nl033, homog, L, 1) is None
 
     def test_homogeneous_zero_threshold_matches_time_map(self, nl033, homog):
         # the exact nonexistence threshold is the minimal phase-plane
         # half-length L_c = min_alpha T(alpha): 5.18 for theta = 0.33
         L_c = homogeneous_critical_length(0.33)
         assert 4.69 < L_c < 5.8  # necessary eigenvalue bound pi/(2 sqrt(0.1122))
-        assert find_barrier_zero(nl033, homog, 1.0, 0.9 * L_c, 1) is None
-        b = find_barrier_zero(nl033, homog, 1.0, 1.1 * L_c, 1)
+        assert find_barrier_zero(nl033, homog, 0.9 * L_c, 1) is None
+        b = find_barrier_zero(nl033, homog, 1.1 * L_c, 1)
         assert b is not None and b.residual < 1e-6
 
     def test_homogeneous_small_interval_certificate_region(self, nl033, homog):
-        assert find_barrier_zero(nl033, homog, 1.0, 1.0, 1) is None
+        assert find_barrier_zero(nl033, homog, 1.0, 1) is None
 
 
 class TestDiscreteSearch:
@@ -183,7 +184,7 @@ class TestDiscreteSearch:
     replaced, measured on the same grids."""
 
     def test_even_grid_mirrors_the_two_middle_nodes(self, nl033, gauss_out):
-        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1, n_grid=800)
+        b = find_barrier_one(nl033, gauss_out, 2.5, 1, n_grid=800)
         assert b is not None and b.residual < 1e-9
         assert b.p_min == pytest.approx(0.0298003725, abs=1e-6)
         vals = b.profile.values
@@ -191,34 +192,33 @@ class TestDiscreteSearch:
         assert vals[400] == pytest.approx(b.p_min, abs=1e-12)
 
     def test_ball_origin_row(self, nl033, gauss_out):
-        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 3, n_grid=401)
+        b = find_barrier_zero(nl033, gauss_out, 2.5, 3, n_grid=401)
         assert b is not None and b.residual < 1e-9
         assert b.p_max == pytest.approx(0.5988602857, abs=1e-6)
         assert b.profile.values[0] == b.p_max
-        assert find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 2) is None
+        assert find_barrier_one(nl033, gauss_out, 2.5, 2) is None
 
     def test_edge_far_below_the_scan_floor(self, nl033):
         # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25, so
-        # the profile's centre clips to ~0 and the trajectory shot must
-        # start from the search's alpha
-        b = find_barrier_one(nl033, DriftField.radial("gauss_out", 0.1), 0.1, 2.5, 1, n_grid=401)
+        # the profile's centre clips to ~0 (the barriers experiment shoots
+        # its trajectory from alpha, see tests/test_cli.py)
+        b = find_barrier_one(nl033, DriftField.radial("gauss_out", 0.1), 2.5, 1, n_grid=401)
         assert b is not None and b.residual < 1e-9
         assert 0.0 < b.alpha < 1e-20
         assert b.p_min == pytest.approx(0.0, abs=1e-6)
-        assert b.trajectory is not None and b.trajectory.alpha == b.alpha
 
     def test_lower_edge_is_returned(self, nl033, gauss_out):
         # the feasible band has a second edge near alpha = 0.2925 that
         # also polishes into a barrier; the search keeps the lower edge
         from rdcontrol import steady
 
-        geometry, drift_eff, ops = steady._setup(gauss_out, SIGMA_STRONG, 2.5, 1, 801)
+        geometry, ops = steady._setup(gauss_out, 2.5, 1, 801)
         alphas = np.geomspace(1e-7, 0.33 * (1.0 - 1e-9), 48)
         reach = steady._march(nl033, geometry, ops, alphas, 1.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < 801, 1.0)
         assert upper == pytest.approx(0.2925, abs=1e-4)
-        assert steady._marched_barrier(nl033, drift_eff, geometry, ops, upper, 1.0) is not None
-        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        assert steady._marched_barrier(nl033, gauss_out, geometry, ops, upper, 1.0) is not None
+        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
         assert b.alpha == lower
         assert b.p_min == pytest.approx(0.0298003422, abs=1e-6)
 
@@ -233,20 +233,20 @@ class TestDiscreteSearch:
         from rdcontrol.elliptic import newton_steady
         from rdcontrol.energy import minimize_energy_sigma, plateau_ramp_eta
 
-        geometry, drift_eff, ops = steady._setup(gauss_out, SIGMA_STRONG, 2.5, 1, n)
+        geometry, ops = steady._setup(gauss_out, 2.5, 1, n)
         alphas = np.linspace(0.33 + 0.01, 1.0 - 1e-6, 64)
         reach = steady._march(nl033, geometry, ops, alphas, 0.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < n, 0.0)
         assert upper == pytest.approx(0.98861, abs=1e-4)
-        marched = steady._marched_barrier(nl033, drift_eff, geometry, ops, upper, 0.0)
+        marched = steady._marched_barrier(nl033, gauss_out, geometry, ops, upper, 0.0)
 
         eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
         prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, geometry, n,
                                         p_init=eta, max_iter=4000)
-        vals, _ = newton_steady(geometry, drift_eff, nl033, prof.values, 0.0, 0.0)
+        vals, _ = newton_steady(geometry, gauss_out, nl033, prof.values, 0.0, 0.0)
         assert np.max(np.abs(vals - marched.profile.values)) <= 1e-9
 
-        b = find_barrier_zero(nl033, gauss_out, SIGMA_STRONG, 2.5, 1, n_grid=n)
+        b = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=n)
         assert b.alpha == lower
         if n == 801:
             assert b.p_max == pytest.approx(0.3469595158, abs=1e-9)
@@ -262,7 +262,7 @@ class TestDiscreteSearch:
             return newton(geometry, drift, nl, seed, *args, **kwargs)
 
         monkeypatch.setattr(steady, "newton_steady", spy)
-        b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
         assert b is not None
         assert seed_residuals[0] <= 1e-9
 
@@ -272,7 +272,7 @@ class TestDiscreteSearch:
         drift = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         for finder in (find_barrier_one, find_barrier_zero):
             with pytest.raises(InvalidInput, match="transform-check"):
-                finder(nl033, drift, 1.0, 1.0, 1)
+                finder(nl033, drift, 1.0, 1)
 
 
 class TestBarrierProperties:
@@ -282,26 +282,24 @@ class TestBarrierProperties:
         nl = BistableNonlinearity.cubic(theta)
         drift = DriftField.radial("gauss_out", sigma)
         for finder in (find_barrier_zero, find_barrier_one):
-            b = finder(nl, drift, sigma, 2.5, 1, n_grid=n)
+            b = finder(nl, drift, 2.5, 1, n_grid=n)
             if b is None:
                 continue
             assert steady_residual(b.profile.geometry, drift, nl, b.profile.values) <= 1e-9
             assert np.min(b.profile.values) >= 0.0 and np.max(b.profile.values) <= 1.0
             assert isinstance(b.alpha, float)
-            assert b.trajectory is not None
 
 
 class TestCriticalRadius:
     def test_monotone_in_sigma(self, nl033, gauss_out):
         probes = np.linspace(1.0, 4.0, 7)
-        r1 = critical_radius_R_star(nl033, gauss_out, 0.5, 1, probes)
-        r2 = critical_radius_R_star(nl033, gauss_out, 1.0, 1, probes)
-        r3 = critical_radius_R_star(nl033, gauss_out, 2.0, 1, probes)
+        r1, r2, r3 = (critical_radius_R_star(nl033, DriftField.radial("gauss_out", s), 1, probes)
+                      for s in (0.5, 1.0, 2.0))
         assert r1 <= r2 <= r3
 
     def test_homogeneous_sentinel(self, nl033, homog):
         probes = np.linspace(1.0, 4.0, 4)
-        assert critical_radius_R_star(nl033, homog, 1.0, 1, probes) == math.inf
+        assert critical_radius_R_star(nl033, homog, 1, probes) == math.inf
 
 
 class TestSteadyPath:
@@ -380,7 +378,7 @@ class TestSteadyPath:
 
 
 def test_barrier_residual_cited_in_steady_residual(nl033, gauss_out):
-    b = find_barrier_one(nl033, gauss_out, SIGMA_STRONG, 2.5, 1)
+    b = find_barrier_one(nl033, gauss_out, 2.5, 1)
     geom = b.profile.geometry
     assert steady_residual(geom, DriftField.radial("gauss_out", SIGMA_STRONG),
                            nl033, b.profile.values) < 1e-6
@@ -394,7 +392,7 @@ def test_certificate_soundness_sweep(nl033, homog):
     for L in np.linspace(0.5, 4.0, 20):
         g = DomainGeometry.interval(float(L))
         if uniqueness_certificate(nl033, homog, g).holds:
-            assert find_barrier_zero(nl033, homog, 1.0, float(L), 1, n_grid=201) is None
+            assert find_barrier_zero(nl033, homog, float(L), 1, n_grid=201) is None
 
 
 class TestErrorContracts:
