@@ -211,9 +211,10 @@ def _run_energy(sc: Scenario) -> int:
     sigma_star, status = negative_energy_sigma_threshold(sc.nl, sc.drift, sc.geometry, delta,
                                                          n=sc.n)
     eta = plateau_ramp_eta(delta, sc.geometry, sc.n)
+    # a window around sigma*, or a fixed one when there is no finite sigma*
+    lo, hi = (sigma_star / 8.0, sigma_star * 8.0) if 0.0 < sigma_star < math.inf else (1e-3, 8.0)
     rows = []
-    for sig in np.geomspace(max(sigma_star, 1e-6) / 8.0 if sigma_star else 1e-3,
-                            (sigma_star if sigma_star not in (0.0, math.inf) else 1.0) * 8.0, 9):
+    for sig in np.geomspace(lo, hi, 9):
         rep = energy_sigma(sc.nl, sc.drift, float(sig), eta, sc.geometry)
         rows.append((float(sig), rep.value, rep.gradient_part, rep.potential_part))
     write_csv(os.path.join(sc.out_dir, "energy_scan.csv"),
@@ -229,12 +230,13 @@ def _run_energy(sc: Scenario) -> int:
 
 
 def _run_transform(sc: Scenario) -> int:
-    from .transform import build_map, equivalence_check, tilde_f
+    from .transform import build_map, equivalence_check, tilde_f, tilde_nonlinearity
 
     if sc.drift.kind != "infection":
         raise InvalidInput("invalid-scenario: transform-check needs an infection drift")
     N_of_p = sc.drift.N_of_p
     gf = build_map(N_of_p)
+    tnl = tilde_nonlinearity(gf, sc.nl)  # validates that f~ is bistable
     x = sc.geometry.grid(sc.n)
     L = sc.geometry.inradius()
     p0 = GridProfile(sc.geometry, 0.5 * (1.0 + np.cos(np.pi * x / L)) * sc.nl.theta)
@@ -244,7 +246,7 @@ def _run_transform(sc: Scenario) -> int:
             for p in ps]
     write_csv(os.path.join(sc.out_dir, "transform.csv"),
               ["p", "script_N", "tilde_f"], rows, sc.raw)
-    info = {"sup_discrepancy": disc, "script_N_theta": float(gf.script_N(sc.nl.theta))}
+    info = {"sup_discrepancy": disc, "script_N_theta": tnl.theta}
     return _emit(sc, "transform", info)
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ControlSchedule, _Stepper, asymptotic_verdict, verdict
+from .dynamics import _Stepper, asymptotic_verdict, verdict
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 from .steady import Barrier, SteadyPath, build_steady_path, find_barrier_one, find_barrier_zero
@@ -79,15 +79,18 @@ def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
              budget: float, tol: float):
     """Feedback leg toward a steady target, ending at the first step whose
     sup-error is within tol; returns (values, steps, time_used, success,
-    err, u_min, u_max)."""
-    schedule = ControlSchedule.feedback(target, gain)
+    err, u_min, u_max).  Each boundary control is the target's trace plus
+    gain times the target's mismatch at the boundary-adjacent node,
+    clamped to [0, 1]."""
+    tgt = target.values
     vals = state_vals
     t_used = 0.0
     dt = st.dt
     u_min, u_max = math.inf, -math.inf
     n_steps = max(1, int(round(budget / dt)))
     for k in range(n_steps):
-        uL, uR = schedule.boundary_values(t_used, vals)
+        uL = min(max(float(tgt[0] + gain * (tgt[1] - vals[1])), 0.0), 1.0)
+        uR = min(max(float(tgt[-1] + gain * (tgt[-2] - vals[-2])), 0.0), 1.0)
         u_min = min(u_min, uL, uR)
         u_max = max(u_max, uL, uR)
         vals = st.advance(vals, uL, uR)

@@ -24,12 +24,9 @@ from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile, lipschitz_and_sup_fprime
 
 __all__ = [
-    "PdeState",
     "ControlSchedule",
     "SimulationResult",
     "Verdict",
-    "default_dt",
-    "step",
     "simulate",
     "verdict",
     "asymptotic_verdict",
@@ -37,65 +34,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PdeState:
-    t: float
-    profile: GridProfile
-    drift: DriftField
-
-
-@dataclass(frozen=True)
 class ControlSchedule:
-    """Boundary control law; every emitted value is clamped to [0, 1].
+    """Static boundary control u = value, clamped to [0, 1] by :meth:`static`."""
 
-    kinds: "static" (u = value), "piecewise" (list of (t_i, u_i), each
-    value applied from t_i on) and "feedback" (target boundary trace
-    plus gain times the mismatch at the boundary-adjacent node).
-    """
-
-    kind: str
-    value: float = 0.0
-    pieces: tuple = ()
-    target: Optional[GridProfile] = None
-    gain: float = 0.0
+    value: float
 
     @classmethod
     def static(cls, a: float) -> "ControlSchedule":
-        return cls(kind="static", value=float(a))
-
-    @classmethod
-    def piecewise(cls, pieces) -> "ControlSchedule":
-        pc = tuple(sorted((float(t), float(u)) for t, u in pieces))
-        if not pc:
-            raise InvalidInput("invalid-schedule: empty piecewise schedule")
-        return cls(kind="piecewise", pieces=pc)
-
-    @classmethod
-    def feedback(cls, target: GridProfile, gain: float) -> "ControlSchedule":
-        return cls(kind="feedback", target=target, gain=float(gain))
-
-    def boundary_values(self, t: float, values: np.ndarray) -> tuple[float, float]:
-        if self.kind == "static":
-            u = min(max(self.value, 0.0), 1.0)
-            return u, u
-        if self.kind == "piecewise":
-            u = self.pieces[0][1]
-            for ti, ui in self.pieces:
-                if t >= ti:
-                    u = ui
-            u = min(max(u, 0.0), 1.0)
-            return u, u
-        tgt = self.target.values
-        u_left = tgt[0] + self.gain * (tgt[1] - values[1])
-        u_right = tgt[-1] + self.gain * (tgt[-2] - values[-2])
-        return (min(max(float(u_left), 0.0), 1.0),
-                min(max(float(u_right), 0.0), 1.0))
+        return cls(min(max(float(a), 0.0), 1.0))
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     times: np.ndarray
     snapshots: list
-    control_log: np.ndarray  # rows (t, u_left, u_right)
 
 
 @dataclass(frozen=True)
@@ -106,12 +58,6 @@ class Verdict:
     residual_profile: Optional[GridProfile]  # state at the deciding check
     stall: Optional[float]   # sup-move over the last tenth when blocked
     horizon: float
-
-
-def default_dt(nl: BistableNonlinearity, h: float) -> float:
-    """Conservative default step: 0.4 min(h^2/2, 1/||f'||_inf)."""
-    M, _ = lipschitz_and_sup_fprime(nl)
-    return 0.4 * min(0.5 * h * h, 1.0 / M)
 
 
 class _Stepper:
@@ -155,18 +101,6 @@ class _Stepper:
                 yield k * self.dt, vals
 
 
-def step(state: PdeState, nl: BistableNonlinearity, u_left: float, u_right: float,
-         dt: float) -> PdeState:
-    """One IMEX step with the boundary rows pinned to the controls."""
-    for u in (u_left, u_right):
-        if not (0.0 <= u <= 1.0):
-            raise InvalidInput(f"invalid-control: u={u} outside [0,1]")
-    st = _Stepper(state.profile.geometry, state.profile.n, state.drift, nl, dt)
-    vals = st.advance(state.profile.values, u_left, u_right)
-    return PdeState(t=state.t + dt, profile=GridProfile(state.profile.geometry, vals),
-                    drift=state.drift)
-
-
 def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
              schedule: ControlSchedule, T: float, dt: float,
              snapshot_every: int = 10) -> SimulationResult:
@@ -177,18 +111,13 @@ def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
     n_steps = max(1, int(round(T / dt)))
     times = [0.0]
     snaps = [prof]
-    controls = []
-    t = 0.0
+    u = schedule.value
     for k in range(n_steps):
-        uL, uR = schedule.boundary_values(t, prof.values)
-        controls.append((t, uL, uR))
-        prof = GridProfile(geometry, st.advance(prof.values, uL, uR))
-        t = (k + 1) * dt
+        prof = GridProfile(geometry, st.advance(prof.values, u, u))
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
-            times.append(t)
+            times.append((k + 1) * dt)
             snaps.append(prof)
-    return SimulationResult(times=np.asarray(times), snapshots=snaps,
-                            control_log=np.asarray(controls))
+    return SimulationResult(times=np.asarray(times), snapshots=snaps)
 
 
 def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,

@@ -1,8 +1,7 @@
 """Energy functionals and asymptotic existence tests.
 
-Three energies appear throughout:
+Two energies appear throughout:
 
-  phase energy       E(p, v) = v^2/2 + F(p)   along shooting trajectories,
   weighted energy    E_sigma(p) = 1/2 int w |p'|^2 - int w F(p),
                      w = N^{2/sigma}, F under the extension-by-zero
                      convention (F constant outside [0, 1]),
@@ -27,10 +26,8 @@ from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
 __all__ = [
     "EnergyReport",
-    "phase_energy",
     "energy_sigma",
     "plateau_ramp_eta",
-    "ramp_v_delta",
     "negative_energy_sigma_threshold",
     "laplace_ratio_check",
     "minimize_energy_sigma",
@@ -43,16 +40,6 @@ class EnergyReport:
     gradient_part: float
     potential_part: float
     log_shift: float  # parts are scaled by exp(-log_shift)
-
-
-def phase_energy(nl: BistableNonlinearity, p, v):
-    """E(p, v) = v^2/2 + F(p) along a trajectory."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-        raise InvalidInput("invalid-scalar: non-finite phase point")
-    out = 0.5 * v**2 + nl.F(p)
-    return out if out.ndim else float(out)
 
 
 def _sphere_area(d: int) -> float:
@@ -109,19 +96,6 @@ def plateau_ramp_eta(delta: float, geometry: DomainGeometry, n: int) -> GridProf
     r = np.abs(x)
     t = np.clip((r - delta) / delta, 0.0, 1.0)
     vals = 1.0 - (3.0 * t**2 - 2.0 * t**3)
-    return GridProfile(geometry, vals)
-
-
-def ramp_v_delta(delta: float, geometry: DomainGeometry, n: int) -> GridProfile:
-    """Plateau at 1 inside rho - delta with the quadratic boundary ramp
-    (rho^2 - |x|^2) / (rho^2 - (rho-delta)^2)."""
-    rho = geometry.inradius()
-    if not (0.0 < delta < rho):
-        raise InvalidInput(f"bad-delta: need 0 < delta < rho, got {delta} vs rho={rho}")
-    x = geometry.grid(n)
-    r = np.abs(x)
-    ramp = (rho**2 - r**2) / (rho**2 - (rho - delta) ** 2)
-    vals = np.where(r <= rho - delta, 1.0, np.clip(ramp, 0.0, 1.0))
     return GridProfile(geometry, vals)
 
 

@@ -33,9 +33,7 @@ __all__ = [
     "DriftField",
     "DomainGeometry",
     "GridProfile",
-    "AssumptionVerdict",
     "lipschitz_and_sup_fprime",
-    "validate_assumption",
 ]
 
 
@@ -178,9 +176,9 @@ class DriftField:
       radial       -- closed-form radial family with intensity 1/sigma:
                       gauss_out N=e^{-r^2/2}, gauss_in N=e^{r^2/2},
                       abs_exp N=e^{|r|}, sin with b(r)=sin(r).
-      spatial-log  -- user profile b(x) = d/dx ln N plus sigma; the
-                      slowly-varying form stores eps with sigma = 2/eps
-                      so the advection coefficient is eps * n'(x).
+      spatial-log  -- profile b(x) = d/dx ln N plus sigma; the
+                      slowly-varying form has sigma = 2/eps, so the
+                      advection coefficient is eps * n'(x).
       infection    -- N depends on the proportion p, not on x.
 
     ``coeff(x) = (2/sigma) b(x)`` is the advection coefficient in front
@@ -192,7 +190,6 @@ class DriftField:
     family: Optional[str] = None
     b_func: Optional[Callable] = field(default=None, repr=False, compare=False)
     ln_N_func: Optional[Callable] = field(default=None, repr=False, compare=False)
-    eps: Optional[float] = None
     N_of_p: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     _FAMILIES = {
@@ -223,17 +220,13 @@ class DriftField:
         return cls(kind="radial", family=family, sigma=sigma)
 
     @classmethod
-    def spatial_log(cls, b: Callable, sigma: float, ln_N: Callable) -> "DriftField":
-        return cls(kind="spatial-log", sigma=sigma, b_func=b, ln_N_func=ln_N)
-
-    @classmethod
     def slow(cls, n: Callable, n_prime: Callable, eps: float) -> "DriftField":
         """Slowly varying heterogeneity: advection term eps * n'(x) p'."""
         if eps < 0.0:
             raise InvalidInput("invalid-eps: eps must be >= 0")
         if eps == 0.0:
             return cls.homogeneous()
-        return cls(kind="spatial-log", sigma=2.0 / eps, b_func=n_prime, ln_N_func=n, eps=eps)
+        return cls(kind="spatial-log", sigma=2.0 / eps, b_func=n_prime, ln_N_func=n)
 
     @classmethod
     def infection(cls, N_of_p: Callable) -> "DriftField":
@@ -275,10 +268,6 @@ class DriftField:
         from (2/sigma) ln N before exponentiating (quotients are scale
         invariant, so a shift avoids overflow for strong drifts)."""
         return np.exp((2.0 / self.sigma) * self.ln_N(x) - shift)
-
-    def weight2(self, x):
-        """N^2, the sigma-free weight of the radial-decay criterion."""
-        return np.exp(2.0 * self.ln_N(x))
 
     def eps_n_inf(self, x) -> float:
         """eps * ||n||_inf over the sample points x (0 when no drift).
@@ -374,45 +363,3 @@ class GridProfile:
     def sup_distance(self, other) -> float:
         other_vals = other.values if isinstance(other, GridProfile) else np.asarray(other)
         return float(np.max(np.abs(self.values - other_vals)))
-
-
-@dataclass(frozen=True)
-class AssumptionVerdict:
-    which: str
-    holds: bool
-    margin: float
-
-
-def validate_assumption(drift: DriftField, which: str, params: dict) -> AssumptionVerdict:
-    """Check the structural drift assumptions on a grid of radii.
-
-    T1: d_r N / N <= -C r          (params: C, r_grid)
-    T2: e^{-c0 r^2/2} <= N <= e^{-c1 r^2/2}   (params: c0 >= c1 > 0, r_grid;
-        margins measured on ln N)
-    A1: N'(r) >= -(d-1)/(2r) N(r)  (params: d, r_grid; margin normalized by N)
-
-    The verdict holds iff the inequality holds at every grid node; the
-    margin is the worst-case slack (>= 0 when the assumption holds,
-    equality cases report 0 within roundoff).
-    """
-    if drift.kind not in ("radial", "spatial-log"):
-        raise InvalidInput("assumption-inapplicable: drift must be radial or spatial-log")
-    r = np.asarray(params["r_grid"], dtype=float)
-    if np.any(r <= 0.0):
-        raise InvalidInput("invalid-grid: assumption grid must lie in (0, R]")
-    if which == "T1":
-        C = float(params["C"])
-        slack = -C * r - drift.b(r)
-    elif which == "T2":
-        c0, c1 = float(params["c0"]), float(params["c1"])
-        if not (c0 >= c1 > 0.0):
-            raise InvalidInput("invalid-params: need c0 >= c1 > 0")
-        ln_n = drift.ln_N(r)
-        slack = np.minimum(ln_n + 0.5 * c0 * r**2, -0.5 * c1 * r**2 - ln_n)
-    elif which == "A1":
-        d = int(params["d"])
-        slack = drift.b(r) + (d - 1) / (2.0 * r)
-    else:
-        raise InvalidInput(f"assumption-inapplicable: unknown assumption {which}")
-    margin = float(np.min(slack))
-    return AssumptionVerdict(which=which, holds=margin >= -1e-12, margin=margin)

@@ -29,7 +29,6 @@ __all__ = [
     "dirichlet_lambda1",
     "weighted_lambda1",
     "lambda_sigma",
-    "lambda1_whole_space",
     "uniqueness_certificate",
 ]
 
@@ -136,23 +135,6 @@ def lambda_sigma(geometry: DomainGeometry, drift: DriftField, n: int) -> EigenRe
     """Weighted eigenvalue with the drift's own weight N^{2/sigma}."""
     shift = float(np.max((2.0 / drift.sigma) * drift.ln_N(geometry.grid(n))))
     return weighted_lambda1(geometry, lambda x: drift.weight_sigma(x, shift=shift), n)
-
-
-def lambda1_whole_space(drift: DriftField, d: int) -> float:
-    """Whole-space weighted eigenvalue, approximated on balls of radius
-    2, 4, ..., 64 (96 nodes per unit length) until the value changes by
-    less than 1e-3 relative."""
-    R = 2.0
-    prev = None
-    while R <= 64.0:
-        geom = DomainGeometry.ball(R, d) if d > 1 else DomainGeometry.interval(R)
-        n = max(65, int(96 * R) | 1)
-        lam = weighted_lambda1(geom, lambda x: drift.weight2(x), n).lambda_
-        if prev is not None and abs(lam - prev) <= 1e-3 * max(abs(lam), 1e-30):
-            return lam
-        prev = lam
-        R *= 2.0
-    return float(prev)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Radial steady states: the shooting integrator, barrier search,
-critical radii and discrete steady-state paths.
+"""Radial steady states: the shooting integrator, barrier search and
+discrete steady-state paths.
 
 Barriers (non-trivial steady states with constant boundary value 0 or 1)
 and the members of a steady-state path are found by shooting on the
@@ -44,7 +44,6 @@ __all__ = [
     "shoot_radial",
     "find_barrier_one",
     "find_barrier_zero",
-    "critical_radius_R_star",
     "build_steady_path",
 ]
 
@@ -315,9 +314,6 @@ def _edges(nl, geometry, ops, alphas, feasible, target) -> list[float]:
 
 def _setup(drift: DriftField, R: float, d: int, n_grid: int):
     """Geometry and grid operator of a barrier search."""
-    if drift.kind == "infection":
-        raise InvalidInput("invalid-drift-kind: an infection drift depends on p, so its "
-                           "barriers live in the transformed variable; use transform-check")
     geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
     return geometry, assemble_operator(geometry, n_grid, drift)
 
@@ -395,22 +391,6 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
     return min((b for b in candidates if b is not None), key=lambda b: b.residual, default=None)
 
 
-def critical_radius_R_star(nl: BistableNonlinearity, drift: DriftField,
-                           d: int, R_probe_grid) -> float:
-    """Smallest probed radius from which boundary-1 barriers persist for
-    every larger probe; +inf when no probe succeeds."""
-    probes = np.asarray(R_probe_grid, dtype=float)
-    if np.any(np.diff(probes) <= 0.0):
-        raise InvalidInput("invalid-grid: probe grid must increase")
-    success = [find_barrier_one(nl, drift, R, d) is not None for R in probes]
-    r_star = math.inf
-    for ok, R in zip(reversed(success), reversed(probes)):
-        if not ok:
-            break
-        r_star = float(R)
-    return r_star
-
-
 # ---------------------------------------------------------------------------
 # the steady-state path
 # ---------------------------------------------------------------------------
@@ -437,8 +417,6 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
         raise InvalidInput("invalid-scalar: K must be >= 2")
     if delta <= 0.0:
         raise InvalidInput("invalid-scalar: delta must be positive")
-    if drift.kind not in ("homogeneous", "radial", "spatial-log"):
-        raise InvalidInput("invalid-drift-kind: paths need homogeneous, radial or spatial-log drift")
     homog = DriftField.homogeneous()
 
     def columns(geom, s_values) -> np.ndarray:

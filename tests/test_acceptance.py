@@ -31,7 +31,7 @@ import pytest
 from oracles import homogeneous_critical_length, interval_lambda1
 from rdcontrol import steady
 from rdcontrol.control import controllability_report, mintime_scan, staircase_to_theta
-from rdcontrol.dynamics import asymptotic_verdict, step, PdeState
+from rdcontrol.dynamics import _Stepper, asymptotic_verdict
 from rdcontrol.elliptic import newton_steady, steady_residual
 from rdcontrol.energy import (
     energy_sigma,
@@ -284,33 +284,32 @@ def test_criterion_11_invariant_suite(nl):
         g = DomainGeometry.interval(2.5)
         drift = DriftField.radial("gauss_out", 2.0)
         rng = np.random.default_rng(42)
+        st = _Stepper(g, 81, drift, nl, 0.05)
         # discrete comparison principle on 50 random ordered pairs
         for _ in range(50):
             lo = rng.uniform(0.0, 0.8, 81)
             hi = np.clip(lo + rng.uniform(0.0, 0.2, 81), 0.0, 1.0)
-            s1 = PdeState(0.0, GridProfile(g, lo), drift)
-            s2 = PdeState(0.0, GridProfile(g, hi), drift)
             for _ in range(15):
                 u = float(rng.uniform(0.0, 1.0))
-                s1 = step(s1, nl, u, u, 0.05)
-                s2 = step(s2, nl, u, u, 0.05)
-            assert np.min(s2.profile.values - s1.profile.values) >= -1e-9
+                lo, hi = st.advance(lo, u, u), st.advance(hi, u, u)
+            assert np.min(hi - lo) >= -1e-9
 
         # invariant region under admissible controls
-        s = PdeState(0.0, GridProfile(g, rng.uniform(0.0, 1.0, 81)), drift)
+        vals = rng.uniform(0.0, 1.0, 81)
         for _ in range(100):
             u = float(rng.uniform(0.0, 1.0))
-            s = step(s, nl, u, u, 0.05)
-            assert -1e-9 <= np.min(s.profile.values)
-            assert np.max(s.profile.values) <= 1.0 + 1e-9
+            vals = st.advance(vals, u, u)
+            assert -1e-9 <= np.min(vals)
+            assert np.max(vals) <= 1.0 + 1e-9
 
         # steady states are fixed points of the dynamics
         b = find_barrier_zero(nl, DriftField.radial("gauss_out", 1.0), 2.5, 1,
                               n_grid=121)
-        st = PdeState(0.0, b.profile, DriftField.radial("gauss_out", 1.0))
+        st = _Stepper(g, 121, DriftField.radial("gauss_out", 1.0), nl, 0.02)
+        vals = b.profile.values
         for _ in range(50):
-            st = step(st, nl, 0.0, 0.0, 0.02)
-        assert np.max(np.abs(st.profile.values - b.profile.values)) < 1e-9
+            vals = st.advance(vals, 0.0, 0.0)
+        assert np.max(np.abs(vals - b.profile.values)) < 1e-9
 
         # discrete phase-energy derivative law, second order
         defects = []

@@ -1,4 +1,6 @@
-"""Every defaulted parameter of the package is one that callers use both ways.
+"""Every defaulted parameter of the package is one that callers use both ways,
+and every public function or class is one that the package or an acceptance
+criterion reaches.
 
 A default that no call sets is a constant in disguise; a default that every
 call overrides guards a branch that never runs.  The scan reads the
@@ -7,6 +9,13 @@ their calls in ``src/``, ``tests/`` and ``bench/`` by the called name (a
 bare name or the last attribute), binding each argument by position or
 keyword.  Calls that spread ``*args`` or ``**kwargs`` bind nothing certain
 and are skipped.
+
+A public definition that only its own tests reach is code no experiment
+runs.  The reachability scan matches each public module-level function and
+class of ``src/rdcontrol`` by name (a bare name that no local of the same
+name hides, the last attribute or an imported name) against every
+top-level statement of ``src/`` other than its own definition, and of
+``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rdcontrol"
 CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "bench"]
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _defaulted(source: str):
@@ -93,3 +103,48 @@ def test_every_default_is_set_by_some_call():
 def test_every_default_is_omitted_by_some_call():
     always = sorted(f"{m}.{fn}({p})" for (m, fn, p), (_, omits) in _usage().items() if not omits)
     assert not always, f"defaulted parameters that every call sets: {always}"
+
+
+def _references(node, hidden=frozenset()) -> set:
+    """Every name that ``node`` references: a bare name that no parameter or
+    assignment of an enclosing function hides, the last attribute of a
+    dotted name, and each name an import binds from a module."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        hidden = hidden | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} | {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name):
+        return set() if node.id in hidden else {node.id}
+    names = {node.attr} if isinstance(node, ast.Attribute) else set()
+    if isinstance(node, ast.ImportFrom):
+        names.update(alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, hidden)
+    return names
+
+
+def _unreached(sources: dict, extra: list) -> list:
+    """``module.name`` of each public module-level function or class of the
+    ``sources`` (module name to source) that no top-level statement of the
+    sources other than its own definition, nor any of the ``extra``
+    sources, references."""
+    statements = [(module, stmt, _references(stmt)) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    reached = set().union(*(_references(ast.parse(source)) for source in extra))
+    return [f"{module}.{stmt.name}" for module, stmt, _ in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+            and stmt.name not in reached
+            and not any(stmt.name in refs for _, other, refs in statements if other is not stmt)]
+
+
+def test_the_reachability_scan_reads_references():
+    sources = {"a": "def used(): pass\ndef alone(): alone()\nclass K: pass\n_x = used\n",
+               "b": "from .a import K\ndef _private(): pass\ndef cited(): pass\n"
+                    "def local(): pass\ndef _f(local=1):\n    return local\n"
+                    "def _g():\n    local = 2\n    return local\n"}
+    assert _unreached(sources, ["cited()"]) == ["a.alone", "b.local"]
+
+
+def test_every_public_definition_is_reached():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unreached = _unreached(sources, [ACCEPTANCE.read_text()])
+    assert not unreached, f"public definitions that only their own tests reach: {unreached}"

@@ -193,6 +193,17 @@ class TestCommands:
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_time_stepping_on_an_infection_drift_exit_2(self, tmp_path, capsys, command):
+        # the N = 1 stepper would drop the 2 (N'/N) |grad p|^2 term
+        rc = main([command, "--scenario", _write_scenario(tmp_path, {
+            "experiment": command, "domain": {"kind": "interval", "L": 1.0}, "n": 101,
+            "T": 3.0, "drift": {"kind": "infection", "family": "affine", "a": 1, "b": 1}}),
+            "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "transform-check" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+
     def test_barrier_trajectory_starts_from_the_search_alpha(self, tmp_path):
         # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25 and the
         # profile's centre clips to ~0: the shot starts from alpha instead
@@ -312,6 +323,19 @@ class TestCommands:
         assert info["sigma_star"] == pytest.approx(0.09624949011575207, abs=1e-6)
         scan = np.loadtxt(tmp_path / "o" / "energy_scan.csv", delimiter=",", skiprows=2)
         assert scan.shape == (9, 4) and np.all(np.isfinite(scan))
+
+    def test_energy_without_finite_threshold_scans_a_fixed_window(self, tmp_path):
+        # a homogeneous drift never turns the energy negative: sigma* = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["energy", "--scenario", _write_scenario(tmp_path, {
+                "experiment": "energy", "domain": {"kind": "interval", "L": 1.0}, "n": 101}),
+                "--out", str(tmp_path / "o")]) == 0
+        info = json.loads((tmp_path / "o" / "energy.json").read_text())
+        assert info["status"] == "never-negative" and info["sigma_star"] == math.inf
+        scan = np.loadtxt(tmp_path / "o" / "energy_scan.csv", delimiter=",", skiprows=2)
+        assert scan.shape == (9, 4) and np.all(np.isfinite(scan))
+        assert scan[0, 0] == pytest.approx(1e-3) and scan[-1, 0] == pytest.approx(8.0)
 
     def test_mintime_command(self, tmp_path):
         rc = main(["mintime", "--scenario", _write_scenario(tmp_path, {

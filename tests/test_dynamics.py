@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from rdcontrol.dynamics import (
     ControlSchedule,
-    PdeState,
     _Stepper,
     asymptotic_verdict,
-    default_dt,
     simulate,
-    step,
     verdict,
 )
 from rdcontrol.errors import InvalidInput, SolverFailure
@@ -18,44 +15,34 @@ from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField, Gr
 from rdcontrol.steady import find_barrier_one, find_barrier_zero
 
 
-def make_state(geometry, values, drift):
-    return PdeState(0.0, GridProfile(geometry, values), drift)
+def hold(st, vals, u, steps):
+    """``steps`` advances of one stepper under the static control u."""
+    for _ in range(steps):
+        vals = st.advance(vals, u, u)
+    return vals
 
 
 class TestStep:
     def test_theta_equilibrium(self, nl033, homog, interval_25):
-        s = make_state(interval_25, np.full(201, 0.33), homog)
-        for _ in range(20):
-            s = step(s, nl033, 0.33, 0.33, 0.02)
-        assert np.max(np.abs(s.profile.values - 0.33)) < 1e-13
+        st = _Stepper(interval_25, 201, homog, nl033, 0.02)
+        vals = hold(st, np.full(201, 0.33), 0.33, 20)
+        assert np.max(np.abs(vals - 0.33)) < 1e-13
 
     def test_zero_stays_zero(self, nl033, homog, interval_25):
-        s = make_state(interval_25, np.zeros(201), homog)
-        s = step(s, nl033, 0.0, 0.0, 0.02)
-        assert np.max(np.abs(s.profile.values)) == 0.0
+        st = _Stepper(interval_25, 201, homog, nl033, 0.02)
+        assert np.max(np.abs(st.advance(np.zeros(201), 0.0, 0.0))) == 0.0
 
     def test_barrier_is_fixed_point(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
         b = find_barrier_zero(nl033, drift, 2.5, 1, n_grid=201)
-        s = PdeState(0.0, b.profile, drift)
-        for _ in range(50):
-            s = step(s, nl033, 0.0, 0.0, 0.02)
+        st = _Stepper(b.profile.geometry, b.profile.n, drift, nl033, 0.02)
+        vals = hold(st, b.profile.values, 0.0, 50)
         # sup-change per unit time far below 1e-6
-        assert np.max(np.abs(s.profile.values - b.profile.values)) < 1e-9
+        assert np.max(np.abs(vals - b.profile.values)) < 1e-9
 
     def test_dt_too_large(self, nl033, homog, interval_25):
-        s = make_state(interval_25, np.zeros(201), homog)
         with pytest.raises(InvalidInput, match="dt-too-large"):
-            step(s, nl033, 0.0, 0.0, 1.6)  # dt * 0.67 > 1
-
-    def test_control_range_enforced(self, nl033, homog, interval_25):
-        s = make_state(interval_25, np.zeros(201), homog)
-        with pytest.raises(InvalidInput, match="invalid-control"):
-            step(s, nl033, -0.1, 0.0, 0.02)
-
-    def test_default_dt_formula(self, nl033):
-        h = 0.025
-        assert default_dt(nl033, h) == pytest.approx(0.4 * min(h * h / 2, 1 / 0.67))
+            _Stepper(interval_25, 201, homog, nl033, 1.6)  # dt * 0.67 > 1
 
 
 class TestInvariants:
@@ -64,37 +51,31 @@ class TestInvariants:
         drift = DriftField.radial("gauss_out", 2.0)
         vals = rng.uniform(0.0, 1.0, 201)
         vals[0] = vals[-1] = 0.5
-        s = make_state(interval_25, vals, drift)
+        st = _Stepper(interval_25, 201, drift, nl033, 0.02)
         for k in range(200):
             u = float(rng.uniform(0.0, 1.0))
-            s = step(s, nl033, u, u, 0.02)
-            assert np.min(s.profile.values) >= -1e-9
-            assert np.max(s.profile.values) <= 1.0 + 1e-9
+            vals = st.advance(vals, u, u)
+            assert np.min(vals) >= -1e-9
+            assert np.max(vals) <= 1.0 + 1e-9
 
     def test_comparison_principle(self, nl033, interval_25):
         # 50 random ordered pairs under identical random controls
         rng = np.random.default_rng(12)
         drift = DriftField.radial("gauss_out", 2.0)
+        st = _Stepper(DomainGeometry.interval(2.5), 101, drift, nl033, 0.05)
         for _ in range(50):
             lo = rng.uniform(0.0, 0.8, 101)
             hi = np.clip(lo + rng.uniform(0.0, 0.2, 101), 0.0, 1.0)
-            g = DomainGeometry.interval(2.5)
-            s1 = make_state(g, lo, drift)
-            s2 = make_state(g, hi, drift)
             for _ in range(25):
                 u = float(rng.uniform(0.0, 1.0))
-                s1 = step(s1, nl033, u, u, 0.05)
-                s2 = step(s2, nl033, u, u, 0.05)
-            assert np.min(s2.profile.values - s1.profile.values) >= -1e-9
+                lo, hi = st.advance(lo, u, u), st.advance(hi, u, u)
+            assert np.min(hi - lo) >= -1e-9
 
     def test_even_symmetry_preserved(self, nl033, interval_25):
         x = interval_25.grid(201)
         vals = 0.5 * (1.0 + np.cos(np.pi * x / 2.5)) * 0.8
         drift = DriftField.radial("gauss_out", 2.0)  # even coefficient profile
-        s = make_state(interval_25, vals, drift)
-        for _ in range(200):
-            s = step(s, nl033, 0.3, 0.3, 0.02)
-        v = s.profile.values
+        v = hold(_Stepper(interval_25, 201, drift, nl033, 0.02), vals, 0.3, 200)
         assert np.max(np.abs(v - v[::-1])) < 1e-10
 
     def test_steady_path_members_are_fixed_points(self, nl033, homog, interval_1):
@@ -103,10 +84,8 @@ class TestInvariants:
         path = build_steady_path(nl033, homog, interval_1, K=5, delta=0.1, n_grid=101)
         member = path.profiles[len(path) // 2]
         trace = float(member.values[0])
-        s = PdeState(0.0, member, homog)
-        for _ in range(100):
-            s = step(s, nl033, trace, trace, 0.02)
-        assert np.max(np.abs(s.profile.values - member.values)) < 1e-10
+        vals = hold(_Stepper(interval_1, 101, homog, nl033, 0.02), member.values, trace, 100)
+        assert np.max(np.abs(vals - member.values)) < 1e-10
 
 
 class TestStepProperties:
@@ -117,19 +96,17 @@ class TestStepProperties:
     def test_comparison_and_invariant_region(self, theta, sigma, n, L, family, seed):
         nl = BistableNonlinearity.cubic(theta)
         drift = DriftField.radial(family, sigma)
-        g = DomainGeometry.interval(L)
+        stepper = _Stepper(DomainGeometry.interval(L), n, drift, nl, 0.05)
         rng = np.random.default_rng(seed)
         lo = rng.uniform(0.0, 1.0, n)
-        s1 = make_state(g, lo, drift)
-        s2 = make_state(g, np.clip(lo + rng.uniform(0.0, 0.3, n), 0.0, 1.0), drift)
+        hi = np.clip(lo + rng.uniform(0.0, 0.3, n), 0.0, 1.0)
         for _ in range(30):
             u = float(rng.uniform(0.0, 1.0))
-            s1 = step(s1, nl, u, u, 0.05)
-            s2 = step(s2, nl, u, u, 0.05)
-            assert np.min(s2.profile.values - s1.profile.values) >= -1e-9
-            for s in (s1, s2):
-                assert np.min(s.profile.values) >= -1e-9
-                assert np.max(s.profile.values) <= 1.0 + 1e-9
+            lo, hi = stepper.advance(lo, u, u), stepper.advance(hi, u, u)
+            assert np.min(hi - lo) >= -1e-9
+            for vals in (lo, hi):
+                assert np.min(vals) >= -1e-9
+                assert np.max(vals) <= 1.0 + 1e-9
 
     @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25),
            n=st.sampled_from([101, 201]), L=st.floats(2.2, 3.5), boundary=st.sampled_from([0, 1]))
@@ -140,10 +117,9 @@ class TestStepProperties:
         b = finder(nl, drift, L, 1, n_grid=n)
         if b is None:
             return
-        s = PdeState(0.0, b.profile, drift)
-        for _ in range(20):
-            s = step(s, nl, float(boundary), float(boundary), 0.02)
-        assert np.max(np.abs(s.profile.values - b.profile.values)) <= 1e-9
+        stepper = _Stepper(b.profile.geometry, n, drift, nl, 0.02)
+        vals = hold(stepper, b.profile.values, float(boundary), 20)
+        assert np.max(np.abs(vals - b.profile.values)) <= 1e-9
 
 
 class TestSimulate:
@@ -156,7 +132,6 @@ class TestSimulate:
         dist = np.array([np.max(np.abs(snap.values)) for snap in sim.snapshots])
         assert dist[0] == pytest.approx(1.0)
         assert np.all(np.diff(dist) <= 1e-12)  # monotone decay run
-        assert np.all((sim.control_log[:, 1:] >= 0.0) & (sim.control_log[:, 1:] <= 1.0))
 
     def test_drifts_with_equal_eps_do_not_share_an_operator(self, nl033):
         # two slowly-varying drifts that differ only in n and n'
@@ -165,23 +140,12 @@ class TestSimulate:
         for drift in (DriftField.slow(np.sin, np.cos, eps=1.0),
                       DriftField.slow(lambda x: -np.sin(x), lambda x: -np.cos(x), eps=1.0)):
             sim = simulate(p0, nl033, drift, ControlSchedule.static(0.0), T=5.0, dt=0.01)
-            st = _Stepper(g, 101, drift, nl033, 0.01)
-            vals = p0.values
-            for _ in range(500):
-                vals = st.advance(vals, 0.0, 0.0)
+            vals = hold(_Stepper(g, 101, drift, nl033, 0.01), p0.values, 0.0, 500)
             assert np.array_equal(sim.snapshots[-1].values, vals)
 
-    def test_piecewise_schedule(self, nl033, homog, interval_1):
-        sched = ControlSchedule.piecewise([(0.0, 0.2), (1.0, 0.9)])
-        p0 = GridProfile(interval_1, np.zeros(101))
-        sim = simulate(p0, nl033, homog, sched, T=2.0, dt=0.02, snapshot_every=10)
-        log = sim.control_log
-        assert np.all(log[log[:, 0] < 1.0, 1] == 0.2)
-        assert np.all(log[log[:, 0] >= 1.0, 1] == 0.9)
-
     def test_schedule_clamps(self):
-        sched = ControlSchedule.static(1.7)
-        assert sched.boundary_values(0.0, np.zeros(11)) == (1.0, 1.0)
+        assert ControlSchedule.static(1.7).value == 1.0
+        assert ControlSchedule.static(-0.1).value == 0.0
 
 
 class TestVerdicts:

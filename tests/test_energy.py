@@ -3,32 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import F_quad
 from rdcontrol.errors import InvalidInput
 from rdcontrol.energy import (
     energy_sigma,
     laplace_ratio_check,
     minimize_energy_sigma,
     negative_energy_sigma_threshold,
-    phase_energy,
     plateau_ramp_eta,
-    ramp_v_delta,
 )
 from rdcontrol.model import DomainGeometry, DriftField, GridProfile
-
-
-class TestPhaseEnergy:
-    def test_values(self, nl033):
-        assert phase_energy(nl033, 0.0, 0.0) == 0.0
-        assert phase_energy(nl033, 1.0, 0.0) == pytest.approx(F_quad(0.33, 1.0), abs=1e-10)
-        assert phase_energy(nl033, 0.33, 0.0) == pytest.approx(-0.0050012325, abs=1e-9)
-
-    def test_kinetic_part(self, nl033):
-        assert phase_energy(nl033, 0.0, 2.0) == pytest.approx(2.0)
-
-    def test_rejects_nan(self, nl033):
-        with pytest.raises(InvalidInput, match="invalid-scalar"):
-            phase_energy(nl033, float("nan"), 0.0)
 
 
 class TestTestFunctions:
@@ -50,31 +33,6 @@ class TestTestFunctions:
     def test_eta_bad_delta(self, interval_25):
         with pytest.raises(InvalidInput, match="bad-delta"):
             plateau_ramp_eta(2.0, interval_25, 101)
-
-    def test_v_delta_values(self, interval_25):
-        v = ramp_v_delta(0.5, interval_25, 1001)
-        x = v.x
-        assert float(np.interp(2.5, x, v.values)) == pytest.approx(0.0, abs=1e-12)
-        assert float(np.interp(2.0, x, v.values)) == pytest.approx(1.0, abs=1e-9)
-        assert float(np.interp(0.0, x, v.values)) == 1.0
-
-    def test_v_delta_energy_positive_at_small_domain(self, nl033):
-        # the homogeneous v_delta energy at L = 2.5 is positive for every
-        # delta: no energy witness for a barrier there (cf. steady tests)
-        g = DomainGeometry.interval(2.5)
-        homog = DriftField.homogeneous()
-        for delta in (0.3, 0.8, 1.5, 2.4):
-            v = ramp_v_delta(delta, g, 2001)
-            rep = energy_sigma(nl033, homog, 1.0, v, g)
-            assert rep.value > 0.0
-
-    def test_v_delta_energy_negative_at_large_domain(self, nl033):
-        # for rho beyond the bump threshold the witness turns negative
-        g = DomainGeometry.interval(12.0)
-        homog = DriftField.homogeneous()
-        v = ramp_v_delta(3.0, g, 4001)
-        rep = energy_sigma(nl033, homog, 1.0, v, g)
-        assert rep.value < 0.0
 
 
 class TestEnergySigma:

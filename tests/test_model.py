@@ -9,7 +9,6 @@ from rdcontrol.model import (
     DriftField,
     GridProfile,
     lipschitz_and_sup_fprime,
-    validate_assumption,
 )
 
 
@@ -104,7 +103,6 @@ class TestDrift:
         d = DriftField.radial("gauss_out", 4.0)
         x = np.array([0.0, 1.0, 2.0])
         assert np.allclose(d.weight_sigma(x), np.exp(-x**2 / 4.0))
-        assert np.allclose(d.weight2(x), np.exp(-(x**2)))
 
     def test_sigma_positive(self):
         with pytest.raises(InvalidInput, match="invalid-sigma"):
@@ -127,40 +125,6 @@ class TestDrift:
         DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         with pytest.raises(InvalidInput, match="invalid-N"):
             DriftField.infection(lambda p: np.asarray(p, dtype=float) - 0.5)
-
-
-class TestAssumptions:
-    def test_T1_equality_case(self):
-        d = DriftField.radial("gauss_out", 1.0)  # dN/dr / N = -r
-        v = validate_assumption(d, "T1", {"C": 1.0, "r_grid": np.linspace(0.01, 2, 200)})
-        assert v.holds and v.margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_T1_iff_C_below_kappa(self):
-        # N = exp(-kappa r^2 / 2) satisfies T1 iff C <= kappa
-        for kappa in (0.5, 1.0, 2.0):
-            d = DriftField.spatial_log(lambda r, k=kappa: -k * np.asarray(r, dtype=float),
-                                       sigma=1.0,
-                                       ln_N=lambda r, k=kappa: -0.5 * k * np.asarray(r) ** 2)
-            grid = np.linspace(0.01, 2.0, 100)
-            for C in (0.25, 0.5, 1.0, 2.0, 4.0):
-                v = validate_assumption(d, "T1", {"C": C, "r_grid": grid})
-                assert v.holds == (C <= kappa + 1e-12)
-
-    def test_A1_sign_case(self):
-        d = DriftField.radial("gauss_in", 1.0)  # N' >= 0
-        v = validate_assumption(d, "A1", {"d": 3, "r_grid": np.linspace(0.01, 2, 50)})
-        assert v.holds
-
-    def test_T2_equality(self):
-        d = DriftField.radial("gauss_out", 1.0)  # N = e^{-r^2/2}
-        v = validate_assumption(d, "T2", {"c0": 1.0, "c1": 1.0,
-                                          "r_grid": np.linspace(0.01, 2, 50)})
-        assert v.holds and v.margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_inapplicable_kind(self):
-        with pytest.raises(InvalidInput, match="assumption-inapplicable"):
-            validate_assumption(DriftField.homogeneous(), "T1",
-                                {"C": 1.0, "r_grid": np.linspace(0.1, 1, 5)})
 
 
 class TestGeometryProfiles:

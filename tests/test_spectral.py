@@ -6,7 +6,6 @@ from rdcontrol.errors import InvalidInput
 from rdcontrol.model import DomainGeometry, DriftField
 from rdcontrol.spectral import (
     dirichlet_lambda1,
-    lambda1_whole_space,
     lambda_sigma,
     uniqueness_certificate,
     weighted_lambda1,
@@ -98,11 +97,6 @@ class TestWeighted:
         lam1 = lambda_sigma(g, DriftField.radial("gauss_in", 1.0), 2048).lambda_
         lam05 = lambda_sigma(g, DriftField.radial("gauss_in", 0.5), 2048).lambda_
         assert 1.8 < lam05 / lam1 < 2.2
-
-    def test_whole_space_gauss_in(self):
-        # inf over R^1 of the N^2-weighted quotient for N = e^{x^2/2} is 2
-        lam = lambda1_whole_space(DriftField.radial("gauss_in", 1.0), 1)
-        assert lam == pytest.approx(2.0, rel=5e-3)
 
 
 class TestCertificates:

@@ -10,7 +10,6 @@ from rdcontrol.elliptic import steady_residual
 from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField
 from rdcontrol.steady import (
     build_steady_path,
-    critical_radius_R_star,
     find_barrier_one,
     find_barrier_zero,
     shoot_radial,
@@ -288,18 +287,6 @@ class TestBarrierProperties:
             assert steady_residual(b.profile.geometry, drift, nl, b.profile.values) <= 1e-9
             assert np.min(b.profile.values) >= 0.0 and np.max(b.profile.values) <= 1.0
             assert isinstance(b.alpha, float)
-
-
-class TestCriticalRadius:
-    def test_monotone_in_sigma(self, nl033, gauss_out):
-        probes = np.linspace(1.0, 4.0, 7)
-        r1, r2, r3 = (critical_radius_R_star(nl033, DriftField.radial("gauss_out", s), 1, probes)
-                      for s in (0.5, 1.0, 2.0))
-        assert r1 <= r2 <= r3
-
-    def test_homogeneous_sentinel(self, nl033, homog):
-        probes = np.linspace(1.0, 4.0, 4)
-        assert critical_radius_R_star(nl033, homog, 1, probes) == math.inf
 
 
 class TestSteadyPath:
