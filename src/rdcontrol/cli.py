@@ -230,13 +230,12 @@ def _run_energy(sc: Scenario) -> int:
 
 
 def _run_transform(sc: Scenario) -> int:
-    from .transform import build_map, equivalence_check, tilde_f, tilde_nonlinearity
+    from .transform import build_map, equivalence_check, tilde_f
 
     if sc.drift.kind != "infection":
         raise InvalidInput("invalid-scenario: transform-check needs an infection drift")
     N_of_p = sc.drift.N_of_p
     gf = build_map(N_of_p)
-    tnl = tilde_nonlinearity(gf, sc.nl)  # validates that f~ is bistable
     x = sc.geometry.grid(sc.n)
     L = sc.geometry.inradius()
     p0 = GridProfile(sc.geometry, 0.5 * (1.0 + np.cos(np.pi * x / L)) * sc.nl.theta)
@@ -246,7 +245,7 @@ def _run_transform(sc: Scenario) -> int:
             for p in ps]
     write_csv(os.path.join(sc.out_dir, "transform.csv"),
               ["p", "script_N", "tilde_f"], rows, sc.raw)
-    info = {"sup_discrepancy": disc, "script_N_theta": tnl.theta}
+    info = {"sup_discrepancy": disc, "script_N_theta": float(gf.script_N(sc.nl.theta))}
     return _emit(sc, "transform", info)
 
 

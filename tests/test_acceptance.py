@@ -44,7 +44,7 @@ from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField, Gr
 from rdcontrol.scenario import PRESETS
 from rdcontrol.spectral import dirichlet_lambda1, lambda_sigma, uniqueness_certificate
 from rdcontrol.steady import find_barrier_one, find_barrier_zero, shoot_radial
-from rdcontrol.transform import build_map, equivalence_check
+from rdcontrol.transform import build_map, equivalence_check, tilde_nonlinearity
 
 THETA = 0.33
 
@@ -234,9 +234,12 @@ def test_criterion_8_laplace_ratio():
 
 
 def test_criterion_9_gene_flow_equivalence(nl):
-    with criterion(9, "transform equivalence refines ~4x; script_N(theta) exact"):
+    with criterion(9, "transform equivalence refines ~4x; script_N(theta) exact; "
+                      "f~ bistable with Allee root script_N(theta)"):
         gf = build_map(lambda p: 1.0 + np.asarray(p, dtype=float))
         assert abs(float(gf.script_N(THETA)) - ((1.33) ** 3 - 1) / 7) < 1e-10
+        # construction validates the three roots and F~(1) > 0
+        assert tilde_nonlinearity(gf, nl).theta == float(gf.script_N(THETA))
         g = DomainGeometry.interval(1.0)
         discs = []
         for lev in range(3):

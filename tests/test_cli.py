@@ -223,6 +223,18 @@ class TestCommands:
         assert info["script_N_theta"] == pytest.approx(((1.33) ** 3 - 1) / 7, abs=1e-10)
         assert info["sup_discrepancy"] < 5e-3
 
+    def test_transform_check_with_decreasing_N(self, tmp_path):
+        # N = 1 - 0.9 p makes int_0^1 f~ negative at theta = 0.33; the
+        # equivalence check does not need its sign, so the run succeeds
+        assert main(["transform-check", "--scenario", _write_scenario(tmp_path, {
+            "experiment": "transform-check", "domain": {"kind": "interval", "L": 1.0},
+            "n": 51, "T": 0.5, "dt": 0.004,
+            "drift": {"kind": "infection", "family": "affine", "a": 1, "b": -0.9}}),
+            "--out", str(tmp_path / "o")]) == 0
+        info = json.loads((tmp_path / "o" / "transform.json").read_text())
+        assert info["script_N_theta"] == pytest.approx((1 - 0.703**3) / 0.999, abs=1e-10)
+        assert info["sup_discrepancy"] < 5e-3
+
     def test_simulate_agrees_with_asymptotic_verdict(self, tmp_path):
         from rdcontrol.dynamics import asymptotic_verdict
 
