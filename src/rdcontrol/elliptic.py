@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import InvalidInput, SolverFailure
+from .errors import SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField
 
 __all__ = [
@@ -56,11 +56,9 @@ def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
 
     ``lower[i]`` multiplies p_{i-1} in row i, ``upper[i]`` multiplies
     p_{i+1}; row 0 and row n-1 are left empty for boundary conditions.
-    An infection drift, which depends on p, has no such operator.
+    An infection drift, which depends on p, has no such operator
+    (``DriftField.coeff`` raises).
     """
-    if drift.kind == "infection":
-        raise InvalidInput("invalid-drift-kind: an infection drift depends on p, so its "
-                           "operator lives in the transformed variable; use transform-check")
     x = geometry.grid(n)
     h = x[1] - x[0]
     c = advection_coeff(geometry, x, drift)

@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidInput
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
+from .numerics import simpson
 
 __all__ = [
     "EnergyReport",

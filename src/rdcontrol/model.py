@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidInput
+from .numerics import Pchip, cumulative_simpson
 
 __all__ = [
     "BistableNonlinearity",
@@ -59,9 +58,9 @@ class BistableNonlinearity:
 
     theta: float
     kind: str = "cubic"
-    _f_interp: Optional[PchipInterpolator] = field(default=None, repr=False, compare=False)
-    _fp_interp: Optional[PchipInterpolator] = field(default=None, repr=False, compare=False)
-    _F_interp: Optional[PchipInterpolator] = field(default=None, repr=False, compare=False)
+    _f_interp: Optional[Pchip] = field(default=None, repr=False, compare=False)
+    _fp_interp: Optional[Pchip] = field(default=None, repr=False, compare=False)
+    _F_interp: Optional[Pchip] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -82,17 +81,19 @@ class BistableNonlinearity:
         fs = np.asarray(f_samples, dtype=float)
         if p.ndim != 1 or p.shape != fs.shape or p.size < 8:
             raise InvalidInput("invalid-samples: need matching 1-d arrays, >= 8 points")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(fs))):
+            raise InvalidInput("invalid-samples: non-finite sample")
         if p[0] != 0.0 or p[-1] != 1.0 or np.any(np.diff(p) <= 0):
             raise InvalidInput("invalid-samples: p grid must increase from 0 to 1")
-        f_i = PchipInterpolator(p, fs)
+        f_i = Pchip(p, fs)
         dense = np.linspace(0.0, 1.0, 8193)
-        F_tab = cumulative_simpson(f_i(dense), x=dense, initial=0.0)
+        F_tab = cumulative_simpson(f_i(dense), dense)
         return cls(
             theta=theta,
             kind="tabulated",
             _f_interp=f_i,
             _fp_interp=f_i.derivative(),
-            _F_interp=PchipInterpolator(dense, F_tab),
+            _F_interp=Pchip(dense, F_tab),
         )
 
     # -- evaluation --------------------------------------------------
@@ -237,7 +238,8 @@ class DriftField:
     def b(self, x):
         """Base log-derivative d/dx ln N (before the 1/sigma intensity)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "homogeneous" or self.kind == "infection":
+        self._check_spatial()
+        if self.kind == "homogeneous":
             return np.zeros_like(x)
         if self.kind == "radial":
             return np.asarray(self._FAMILIES[self.family][0](x), dtype=float)
@@ -245,7 +247,8 @@ class DriftField:
 
     def ln_N(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "homogeneous" or self.kind == "infection":
+        self._check_spatial()
+        if self.kind == "homogeneous":
             return np.zeros_like(x)
         if self.kind == "radial":
             return np.asarray(self._FAMILIES[self.family][1](x), dtype=float)
@@ -274,9 +277,16 @@ class DriftField:
 
         In this parametrization eps*n(x) == (2/sigma) ln N(x) exactly.
         """
-        if self.kind == "homogeneous" or self.kind == "infection":
+        if self.kind == "homogeneous":
             return 0.0
         return float(np.max(np.abs((2.0 / self.sigma) * self.ln_N(x))))
+
+    def _check_spatial(self) -> None:
+        """An infection drift depends on p, not on x: it has no b(x), ln N(x)
+        or operator in p, only the transformed heat equation in q."""
+        if self.kind == "infection":
+            raise InvalidInput("invalid-drift-kind: an infection drift depends on p, so its "
+                               "operator lives in the transformed variable; use transform-check")
 
     def _validate_infection(self) -> None:
         p = np.linspace(0.0, 1.0, 1001)

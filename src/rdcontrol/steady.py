@@ -113,7 +113,7 @@ def _scalar_f(nl: BistableNonlinearity) -> Callable:
 
 
 def _scalar_b(drift: DriftField) -> Callable:
-    if drift.kind == "homogeneous" or drift.kind == "infection":
+    if drift.kind == "homogeneous":
         return lambda r: 0.0
     if drift.kind == "radial":
         fam = drift.family
@@ -124,7 +124,7 @@ def _scalar_b(drift: DriftField) -> Callable:
         if fam == "abs_exp":
             return lambda r: 1.0 if r > 0 else (-1.0 if r < 0 else 0.0)
         return math.sin
-    b = drift.b_func
+    b = drift.b  # for an infection drift, every call raises invalid-drift-kind
     return lambda r: float(b(r))
 
 

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import PchipInterpolator
 
 from .elliptic import apply_operator, assemble_operator, factor_tridiagonal, solve_tridiagonal
 from .errors import InvalidInput, SolverFailure
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
+from .numerics import Pchip, cumulative_simpson, simpson
 
 __all__ = [
     "GeneFlowMap",
@@ -43,9 +42,9 @@ class GeneFlowMap:
     x_table: np.ndarray = field(repr=False)
     N_table: np.ndarray = field(repr=False)      # normalized: int N^2 = 1
     script_table: np.ndarray = field(repr=False)
-    _fwd: PchipInterpolator = field(repr=False, compare=False, default=None)
-    _inv: PchipInterpolator = field(repr=False, compare=False, default=None)
-    _Nsq: PchipInterpolator = field(repr=False, compare=False, default=None)
+    _fwd: Pchip = field(repr=False, compare=False, default=None)
+    _inv: Pchip = field(repr=False, compare=False, default=None)
+    _Nsq: Pchip = field(repr=False, compare=False, default=None)
 
     def script_N(self, x):
         return self._fwd(np.clip(x, 0.0, 1.0))
@@ -67,7 +66,7 @@ def build_map(N_of_p: Callable) -> GeneFlowMap:
         raise InvalidInput("invalid-N: N(p) must be positive and finite on [0,1]")
     norm = simpson(vals**2, x=x)
     n_hat = vals / np.sqrt(norm)
-    script = cumulative_simpson(n_hat**2, x=x, initial=0.0)
+    script = cumulative_simpson(n_hat**2, x)
     script /= script[-1]  # exact endpoint normalization
     if np.any(np.diff(script) <= 0.0):
         raise InvalidInput("invalid-N: cumulative map failed to be strictly increasing")
@@ -75,9 +74,9 @@ def build_map(N_of_p: Callable) -> GeneFlowMap:
         x_table=x,
         N_table=n_hat,
         script_table=script,
-        _fwd=PchipInterpolator(x, script),
-        _inv=PchipInterpolator(script, x),
-        _Nsq=PchipInterpolator(x, n_hat**2),
+        _fwd=Pchip(x, script),
+        _inv=Pchip(script, x),
+        _Nsq=Pchip(x, n_hat**2),
     )
 
 

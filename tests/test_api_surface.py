@@ -16,6 +16,13 @@ class of ``src/rdcontrol`` by name (a bare name that no local of the same
 name hides, the last attribute or an imported name) against every
 top-level statement of ``src/`` other than its own definition, and of
 ``tests/test_acceptance.py``.
+
+The package's only scipy import is ``scipy.linalg.lapack`` (the tridiagonal
+``dgttrf``/``dgttrs``): Simpson quadrature and PCHIP live in
+``rdcontrol.numerics``, so loading the package costs no ``scipy.integrate``,
+``scipy.interpolate`` or ``scipy.special``.  The import scan reads every
+``import`` and ``from ... import`` statement of ``src/rdcontrol`` at any
+nesting, function bodies included.
 """
 
 from __future__ import annotations
@@ -148,3 +155,37 @@ def test_every_public_definition_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     unreached = _unreached(sources, [ACCEPTANCE.read_text()])
     assert not unreached, f"public definitions that only their own tests reach: {unreached}"
+
+
+ALLOWED_SCIPY = "scipy.linalg.lapack"
+
+
+def _scipy_imports(source: str) -> list:
+    """(line, module) of each import in ``source``, at any nesting, that
+    loads a scipy module other than ``scipy.linalg.lapack``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if (m == "scipy" or m.startswith("scipy.")) and m != ALLOWED_SCIPY]
+    return sorted(found)
+
+
+def test_the_import_scan_reads_nested_imports():
+    source = ("import numpy\nfrom scipy.linalg.lapack import dgttrf\nimport scipy.linalg.lapack\n"
+              "def f():\n    from scipy.integrate import simpson\n"
+              "    import scipy.interpolate as si, scipy\nfrom .numerics import Pchip\n"
+              "from scipy import special\nimport scipyx\n")
+    assert _scipy_imports(source) == [(5, "scipy.integrate"), (6, "scipy"),
+                                      (6, "scipy.interpolate"), (8, "scipy")]
+
+
+def test_the_only_scipy_import_is_lapack():
+    found = [f"{path.name}:{line} {module}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, module in _scipy_imports(path.read_text())]
+    assert not found, f"scipy imports other than {ALLOWED_SCIPY}: {found}"

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,17 @@ class TestCommands:
             "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eigen", "energy"])
+    def test_weighted_problem_on_an_infection_drift_exit_2(self, tmp_path, capsys, command):
+        # the weight N^{2/sigma} and lambda_sigma need N(x), not N(p)
+        rc = main([command, "--scenario", _write_scenario(tmp_path, {
+            "experiment": command, "domain": {"kind": "interval", "L": 1.0}, "n": 101,
+            "drift": {"kind": "infection", "family": "affine", "a": 1, "b": 1}}),
+            "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "transform-check" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_time_stepping_on_an_infection_drift_exit_2(self, tmp_path, capsys, command):
@@ -437,3 +452,36 @@ class TestInitialProfile:
                 for w in caught)
             assert f"p0.path {path} is not an x,p CSV" in err
             assert "Warning" not in err
+
+
+_IMPORT_SET = """
+import importlib, json, pkgutil, sys
+import rdcontrol
+from rdcontrol.cli import main
+for info in pkgutil.iter_modules(rdcontrol.__path__):
+    importlib.import_module("rdcontrol." + info.name)
+out, tabulated = sys.argv[1], sys.argv[2]
+codes = [main(["preset", "energy_demo", "--out", out + "/energy"]),
+         main(["preset", "transform_check", "--out", out + "/transform"]),
+         main(["eigen", "--scenario", tabulated, "--out", out + "/eigen"])]
+print(json.dumps({"codes": codes, "loaded": sorted(
+    m for m in ("scipy.integrate", "scipy.interpolate", "scipy.special") if m in sys.modules)}))
+"""
+
+
+def test_no_run_loads_scipy_quadrature_interpolation_or_special(tmp_path):
+    # one fresh process: every module, energy_demo, transform_check and an
+    # eigen run on a tabulated f (PCHIP, its derivative and F)
+    p = np.union1d(np.linspace(0.0, 1.0, 33), [0.33])
+    tabulated = _write_scenario(tmp_path, {
+        "experiment": "eigen", "domain": {"kind": "interval", "L": 1.0}, "n": 101,
+        "f": {"kind": "tabulated", "theta": 0.33, "p": p.tolist(),
+              "values": (p * (1 - p) * (p - 0.33)).tolist()}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_SET, str(tmp_path), tabulated],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "loaded": []}

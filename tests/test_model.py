@@ -82,6 +82,14 @@ class TestNonlinearity:
         assert np.max(np.abs(tab.f(q) - nl033.f(q))) < 5e-6
         assert tab.f(-0.5) == 0.0 and tab.f(1.5) == 0.0  # extension by zero
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_tabulated_rejects_non_finite_samples(self, nl033, column):
+        p = np.linspace(0.0, 1.0, 9)
+        samples = [p, nl033.f(p)]
+        samples[column][4] = np.nan
+        with pytest.raises(InvalidInput, match="invalid-samples: non-finite"):
+            BistableNonlinearity.tabulated(samples[0], samples[1], 0.33)
+
     def test_cubic_extension_outside(self, nl033):
         # dynamics extension keeps the cubic formula
         assert nl033.f(-0.05) == pytest.approx(-0.05 * (-0.38) * 1.05, abs=1e-12)
@@ -125,6 +133,14 @@ class TestDrift:
         DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         with pytest.raises(InvalidInput, match="invalid-N"):
             DriftField.infection(lambda p: np.asarray(p, dtype=float) - 0.5)
+
+    def test_infection_drift_has_no_spatial_profile(self):
+        # N depends on p: there is no b(x) or ln N(x) to fall back to N = 1 with
+        d = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
+        x = np.linspace(-1.0, 1.0, 5)
+        for method in (d.b, d.ln_N, d.eps_n_inf, d.coeff, d.weight_sigma):
+            with pytest.raises(InvalidInput, match="invalid-drift-kind.*transform-check"):
+                method(x)
 
 
 class TestGeometryProfiles:

@@ -272,6 +272,8 @@ class TestDiscreteSearch:
         for finder in (find_barrier_one, find_barrier_zero):
             with pytest.raises(InvalidInput, match="transform-check"):
                 finder(nl033, drift, 1.0, 1)
+        with pytest.raises(InvalidInput, match="transform-check"):
+            shoot_radial(nl033, drift, 1.0, 0.5, 1, 1.0, 1e-3)
 
 
 class TestBarrierProperties:
