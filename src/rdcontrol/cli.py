@@ -178,6 +178,9 @@ def _run_mintime(sc: Scenario) -> int:
     horizons = sc.raw.get("horizons", list(np.geomspace(1.0, 300.0, 24)))
     if not family or not sigmas:
         raise InvalidInput("invalid-scenario: mintime-scan needs family and sigmas")
+    if sc.drift.kind != "homogeneous":
+        raise InvalidInput(f"invalid-scenario: mintime-scan builds its drifts from family and "
+                           f"sigmas and reads no drift, got drift.kind {sc.drift.kind!r}")
     results = mintime_scan(str(family), sigmas, sc.nl, sc.geometry, horizons,
                            n=sc.n, dt=sc.dt)
     rows = [(r.parameter, r.T_min) for r in results]
@@ -189,15 +192,13 @@ def _run_mintime(sc: Scenario) -> int:
 
 
 def _run_eigen(sc: Scenario) -> int:
-    from .spectral import dirichlet_lambda1, lambda_sigma, uniqueness_certificate
+    from .spectral import dirichlet_lambda1, uniqueness_certificate
 
     plain = dirichlet_lambda1(sc.geometry, sc.n)
-    weighted = lambda_sigma(sc.geometry, sc.drift, sc.n)
-    cert_kind = "zero-bc" if sc.drift.kind in ("homogeneous", "spatial-log") else "general"
-    cert = uniqueness_certificate(sc.nl, sc.drift, sc.geometry, cert_kind, n=sc.n)
+    cert = uniqueness_certificate(sc.nl, sc.drift, sc.geometry, n=sc.n)
     write_csv(os.path.join(sc.out_dir, "eigenprofile.csv"), ["x", "u"],
               zip(plain.eigenprofile.x.tolist(), plain.eigenprofile.values.tolist()), sc.raw)
-    info = {"lambda1_dirichlet": plain.lambda_, "lambda_sigma": weighted.lambda_,
+    info = {"lambda1_dirichlet": plain.lambda_, "lambda_sigma": cert.lhs,
             "n": sc.n, "residual": plain.residual,
             "certificate": {"which": cert.which, "holds": cert.holds,
                             "lhs": cert.lhs, "rhs": cert.rhs}}
@@ -239,7 +240,7 @@ def _run_transform(sc: Scenario) -> int:
     x = sc.geometry.grid(sc.n)
     L = sc.geometry.inradius()
     p0 = GridProfile(sc.geometry, 0.5 * (1.0 + np.cos(np.pi * x / L)) * sc.nl.theta)
-    disc = equivalence_check(sc.nl, N_of_p, sc.geometry, p0, lambda t: 0.0, sc.T, sc.dt)
+    disc = equivalence_check(sc.nl, N_of_p, sc.geometry, p0, 0.0, sc.T, sc.dt)
     ps = np.linspace(0.0, 1.0, 101)
     rows = [(float(p), float(gf.script_N(p)), float(tilde_f(gf, sc.nl, float(gf.script_N(p)))))
             for p in ps]

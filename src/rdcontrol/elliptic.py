@@ -165,13 +165,12 @@ def newton_steady(
     drift: DriftField,
     nl: BistableNonlinearity,
     seed: np.ndarray,
-    bc_left: float,
-    bc_right: float,
+    bc: float,
 ) -> tuple[np.ndarray, float]:
-    """Damped Newton solve of A p + f(p) = 0 with pinned boundary values.
+    """Damped Newton solve of A p + f(p) = 0 with the boundary pinned to ``bc``.
 
-    For a ball only ``bc_right`` (r = R) is a boundary condition; the
-    origin row carries the regularized operator.  Returns the solution
+    On an interval both end nodes are pinned; on a ball only r = R is,
+    and the origin row carries the regularized operator.  Returns the solution
     and its residual; raises SolverFailure on divergence.  A stalled line
     search returns the iterate when its residual is within 4x the
     roundoff floor eps * max|diag| * max|p| of A p, which can exceed
@@ -180,10 +179,10 @@ def newton_steady(
     n = seed.size
     lower, diag, upper = assemble_operator(geometry, n, drift)
     p = seed.astype(float).copy()
-    p[-1] = bc_right
+    p[-1] = bc
     ball = geometry.kind == "ball"
     if not ball:
-        p[0] = bc_left
+        p[0] = bc
 
     def residual_vec(q):
         res = apply_operator(lower, diag, upper, q) + nl.f(q)

@@ -1,11 +1,11 @@
 """Energy functionals and asymptotic existence tests.
 
-Two energies appear throughout:
+The energy used throughout is the weighted one
 
-  weighted energy    E_sigma(p) = 1/2 int w |p'|^2 - int w F(p),
-                     w = N^{2/sigma}, F under the extension-by-zero
-                     convention (F constant outside [0, 1]),
-  the sigma-free variant (w = e^{eps n}) used by the slowly-varying model.
+    E_sigma(p) = 1/2 int w |p'|^2 - int w F(p),
+
+with w = N^{2/sigma} and F under the extension-by-zero convention
+(F constant outside [0, 1]).
 
 Quadrature is composite Simpson on the uniform grid with the radial
 measure r^{d-1} (times the sphere area) on balls.  Strong drifts push

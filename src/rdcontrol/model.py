@@ -177,9 +177,6 @@ class DriftField:
       radial       -- closed-form radial family with intensity 1/sigma:
                       gauss_out N=e^{-r^2/2}, gauss_in N=e^{r^2/2},
                       abs_exp N=e^{|r|}, sin with b(r)=sin(r).
-      spatial-log  -- profile b(x) = d/dx ln N plus sigma; the
-                      slowly-varying form has sigma = 2/eps, so the
-                      advection coefficient is eps * n'(x).
       infection    -- N depends on the proportion p, not on x.
 
     ``coeff(x) = (2/sigma) b(x)`` is the advection coefficient in front
@@ -189,8 +186,6 @@ class DriftField:
     kind: str
     sigma: float = 1.0
     family: Optional[str] = None
-    b_func: Optional[Callable] = field(default=None, repr=False, compare=False)
-    ln_N_func: Optional[Callable] = field(default=None, repr=False, compare=False)
     N_of_p: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     _FAMILIES = {
@@ -203,7 +198,7 @@ class DriftField:
     def __post_init__(self):
         if self.sigma <= 0.0 or not np.isfinite(self.sigma):
             raise InvalidInput(f"invalid-sigma: sigma={self.sigma} must be positive")
-        if self.kind not in ("homogeneous", "radial", "spatial-log", "infection"):
+        if self.kind not in ("homogeneous", "radial", "infection"):
             raise InvalidInput(f"invalid-drift-kind: {self.kind}")
         if self.kind == "radial" and self.family not in self._FAMILIES:
             raise InvalidInput(f"invalid-family: {self.family}")
@@ -221,15 +216,6 @@ class DriftField:
         return cls(kind="radial", family=family, sigma=sigma)
 
     @classmethod
-    def slow(cls, n: Callable, n_prime: Callable, eps: float) -> "DriftField":
-        """Slowly varying heterogeneity: advection term eps * n'(x) p'."""
-        if eps < 0.0:
-            raise InvalidInput("invalid-eps: eps must be >= 0")
-        if eps == 0.0:
-            return cls.homogeneous()
-        return cls(kind="spatial-log", sigma=2.0 / eps, b_func=n_prime, ln_N_func=n)
-
-    @classmethod
     def infection(cls, N_of_p: Callable) -> "DriftField":
         return cls(kind="infection", N_of_p=N_of_p)
 
@@ -241,26 +227,14 @@ class DriftField:
         self._check_spatial()
         if self.kind == "homogeneous":
             return np.zeros_like(x)
-        if self.kind == "radial":
-            return np.asarray(self._FAMILIES[self.family][0](x), dtype=float)
-        return np.asarray(self.b_func(x), dtype=float)
+        return np.asarray(self._FAMILIES[self.family][0](x), dtype=float)
 
     def ln_N(self, x):
         x = np.asarray(x, dtype=float)
         self._check_spatial()
         if self.kind == "homogeneous":
             return np.zeros_like(x)
-        if self.kind == "radial":
-            return np.asarray(self._FAMILIES[self.family][1](x), dtype=float)
-        if self.ln_N_func is None:
-            raise InvalidInput("invalid-drift: spatial-log drift without ln N profile")
-        return np.asarray(self.ln_N_func(x), dtype=float)
-
-    def N(self, x):
-        vals = np.exp(self.ln_N(x))
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            raise InvalidInput("invalid-N: density must stay positive and finite")
-        return vals
+        return np.asarray(self._FAMILIES[self.family][1](x), dtype=float)
 
     def coeff(self, x):
         """Effective advection coefficient (2/sigma) b(x) in front of dp/dx."""
@@ -271,15 +245,6 @@ class DriftField:
         from (2/sigma) ln N before exponentiating (quotients are scale
         invariant, so a shift avoids overflow for strong drifts)."""
         return np.exp((2.0 / self.sigma) * self.ln_N(x) - shift)
-
-    def eps_n_inf(self, x) -> float:
-        """eps * ||n||_inf over the sample points x (0 when no drift).
-
-        In this parametrization eps*n(x) == (2/sigma) ln N(x) exactly.
-        """
-        if self.kind == "homogeneous":
-            return 0.0
-        return float(np.max(np.abs((2.0 / self.sigma) * self.ln_N(x))))
 
     def _check_spatial(self) -> None:
         """An infection drift depends on p, not on x: it has no b(x), ln N(x)

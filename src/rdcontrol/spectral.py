@@ -148,29 +148,18 @@ class Certificate:
 
 
 def uniqueness_certificate(nl: BistableNonlinearity, drift: DriftField,
-                           geometry: DomainGeometry, which: str = "zero-bc",
-                           n: int = 513) -> Certificate:
-    """Sufficient uniqueness conditions for the steady problem.
+                           geometry: DomainGeometry, n: int = 513) -> Certificate:
+    """Sufficient uniqueness condition for the steady problem: the weighted
+    eigenvalue lambda_sigma with weight N^{2/sigma} exceeds M.
 
-    zero-bc: lambda_1^D(Omega) > M * exp(eps ||n||_inf), the conservative
-    slowly-varying criterion (homogeneous drifts have eps ||n||_inf = 0).
-    general: weighted lambda with weight N^{2/sigma} > M.
-
-    M is the Lipschitz constant of f; for a C^1 nonlinearity on [0,1] it
-    coincides with sup |f'|, which is reported alongside.
+    For a homogeneous drift the weight is 1, so lambda_sigma is the plain
+    lambda_1^D(Omega) and the certificate is labelled ``zero-bc``; any
+    other drift gives ``general``.  M is the Lipschitz constant of f; for
+    a C^1 nonlinearity on [0,1] it coincides with sup |f'|, which is
+    reported alongside.
     """
     M, sup_fp = lipschitz_and_sup_fprime(nl)
-    if which == "zero-bc":
-        if drift.kind not in ("homogeneous", "spatial-log"):
-            raise InvalidInput("assumption-inapplicable: zero-bc certificate needs "
-                               "a homogeneous or slowly-varying drift")
-        lam = dirichlet_lambda1(geometry, n).lambda_
-        amp = drift.eps_n_inf(geometry.grid(n))
-        rhs = M * float(np.exp(amp))
-        return Certificate(holds=lam > rhs, lhs=lam, rhs=rhs, which=which,
-                           lipschitz_M=M, sup_fprime=sup_fp)
-    if which == "general":
-        lam = lambda_sigma(geometry, drift, n).lambda_
-        return Certificate(holds=lam > M, lhs=lam, rhs=M, which=which,
-                           lipschitz_M=M, sup_fprime=sup_fp)
-    raise InvalidInput(f"invalid-certificate: {which}")
+    lam = lambda_sigma(geometry, drift, n).lambda_
+    return Certificate(holds=lam > M, lhs=lam, rhs=M,
+                       which="zero-bc" if drift.kind == "homogeneous" else "general",
+                       lipschitz_M=M, sup_fprime=sup_fp)

@@ -28,7 +28,7 @@ crossing radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,11 +92,6 @@ class SteadyPath:
 
     def __len__(self) -> int:
         return len(self.profiles)
-
-    def max_gap(self) -> float:
-        gaps = [self.profiles[i].sup_distance(self.profiles[i + 1])
-                for i in range(len(self.profiles) - 1)]
-        return float(max(gaps)) if gaps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def _marched_barrier(nl, drift, geometry, ops, alpha, bv) -> Optional[Barrier]:
     half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
     half[:column.size] = column
     try:
-        vals, residual = newton_steady(geometry, drift, nl, _unfold(geometry, n, half), bv, bv)
+        vals, residual = newton_steady(geometry, drift, nl, _unfold(geometry, n, half), bv)
     except SolverFailure:
         return None
     if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
@@ -407,58 +402,20 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
     lane per s, on an s-grid that is refined until consecutive sup-gaps
     stay below ``delta`` (at most _MAX_MEMBERS members); each column is
     an exact discrete steady state and keeps its last node as the pinned
-    boundary trace under the Newton polish.  Homogeneous and radial
-    drifts march their own rows.  Slowly-varying (spatial-log) drifts
-    march the homogeneous rows and switch the advection term on
-    gradually under Newton continuation; a failed continuation retries
-    once on a 5% inflated domain before reporting the resonant parameter.
+    boundary trace under the Newton polish.
     """
     if K < 2:
         raise InvalidInput("invalid-scalar: K must be >= 2")
     if delta <= 0.0:
         raise InvalidInput("invalid-scalar: delta must be positive")
-    homog = DriftField.homogeneous()
-
-    def columns(geom, s_values) -> np.ndarray:
-        """Whole-grid columns marched on ``geom`` from s*theta, one row per s."""
-        ops = assemble_operator(geom, n_grid, homog if drift.kind == "spatial-log" else drift)
-        half = _march(nl, geom, ops, np.asarray(s_values) * nl.theta, keep=True)[1]
-        if not np.all(np.abs(half) <= _P_MAX):
-            raise SolverFailure(f"stiff-failure: a marched path member left |p| <= {_P_MAX:g}")
-        return _unfold(geom, n_grid, half).T
+    ops = assemble_operator(geometry, n_grid, drift)
 
     def members(s_values) -> list:
-        block = columns(geometry, s_values)
-        if drift.kind == "spatial-log":
-            return [GridProfile(geometry, continued(s, col)) for s, col in zip(s_values, block)]
-        return [GridProfile(geometry, newton_steady(geometry, drift, nl, col, col[-1], col[-1])[0])
-                for col in block]
-
-    def continued(s, vals):
-        trace_l, trace_r = float(vals[0]), float(vals[-1])
-        for tau in (0.25, 0.5, 0.75, 1.0):
-            scaled = DriftField(kind="spatial-log", sigma=drift.sigma / tau,
-                                b_func=drift.b_func, ln_N_func=drift.ln_N_func)
-            try:
-                vals, _ = newton_steady(geometry, scaled, nl, vals, trace_l, trace_r)
-            except SolverFailure:
-                vals = _inflated_retry(s, scaled)
-        return vals
-
-    def _inflated_retry(s, scaled):
-        geom_inf = replace(geometry, half_width=1.05 * geometry.half_width)
-        seed_inf = columns(geom_inf, [s])[0]
-        try:
-            vals_inf, _ = newton_steady(geom_inf, scaled, nl, seed_inf,
-                                        float(seed_inf[0]), float(seed_inf[-1]))
-        except SolverFailure as exc:
-            raise SolverFailure(f"continuation-failure: resonant member s={s:.6g}") from exc
-        x_inf = geom_inf.grid(n_grid)
-        x = geometry.grid(n_grid)
-        restricted = np.interp(x, x_inf, vals_inf)
-        vals, _ = newton_steady(geometry, scaled, nl, restricted,
-                                float(restricted[0]), float(restricted[-1]))
-        return vals
+        half = _march(nl, geometry, ops, np.asarray(s_values) * nl.theta, keep=True)[1]
+        if not np.all(np.abs(half) <= _P_MAX):
+            raise SolverFailure(f"stiff-failure: a marched path member left |p| <= {_P_MAX:g}")
+        return [GridProfile(geometry, newton_steady(geometry, drift, nl, col, col[-1])[0])
+                for col in _unfold(geometry, n_grid, half).T]
 
     s_values = list(np.linspace(0.0, 1.0, K))
     profiles = dict(zip(s_values, members(s_values)))

@@ -129,25 +129,25 @@ class _CnAb2:
         self.factor = factor_tridiagonal(imp_lo, imp_di, imp_up)
         self.dt = dt
 
-    def advance(self, vals, g_now, g_prev, u_left, u_right):
+    def advance(self, vals, g_now, g_prev, u):
         rhs = apply_operator(self.exp_lo, self.exp_di, self.exp_up, vals)
         rhs += self.dt * (1.5 * g_now - 0.5 * g_prev)
-        rhs[0] = u_left
-        rhs[-1] = u_right
+        rhs[0] = rhs[-1] = u
         return solve_tridiagonal(self.factor, rhs)
 
 
 def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable,
                       geometry: DomainGeometry, p0: GridProfile,
-                      u_of_t: Callable, T: float, dt: float,
+                      u: float, T: float, dt: float,
                       snapshot_every: int = 10) -> float:
     """Sup over snapshots of |script_N(p) - q| between the quasilinear
     simulation of p and the transformed heat simulation of q.
 
     Both sides run the same second-order scheme with matching snapshot
     times; the quasilinear gradient-squared term and the reactions are
-    explicit (AB2), diffusion implicit (CN).  Controls are mapped through
-    script_N on the q side.
+    explicit (AB2), diffusion implicit (CN).  The constant boundary
+    control ``u``, clamped to [0, 1], is mapped through script_N on the
+    q side.
     """
     gf = build_map(N_of_p)
     n = p0.n
@@ -178,22 +178,20 @@ def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable,
     gp_prev = g_quasi(p)
     gq_prev = g_heat(q)
     worst = float(np.max(np.abs(np.asarray(gf.script_N(p)) - q)))
-    t = 0.0
+    u = min(max(float(u), 0.0), 1.0)
+    uq = float(gf.script_N(u))
     for k in range(n_steps):
-        u = min(max(float(u_of_t(t)), 0.0), 1.0)
-        uq = float(gf.script_N(u))
         gp = g_quasi(p)
         gq = g_heat(q)
         try:
-            p = stepper.advance(p, gp, gp_prev, u, u)
+            p = stepper.advance(p, gp, gp_prev, u)
             stable = np.max(np.abs(p)) <= 10.0
         except SolverFailure:  # non-finite quasilinear state
             stable = False
         if not stable:
             raise SolverFailure("gf-stiff: quasilinear step unstable, halve dt")
-        q = stepper.advance(q, gq, gq_prev, uq, uq)
+        q = stepper.advance(q, gq, gq_prev, uq)
         gp_prev, gq_prev = gp, gq
-        t = (k + 1) * dt
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
             worst = max(worst, float(np.max(np.abs(np.asarray(gf.script_N(np.clip(p, 0.0, 1.0))) - q))))
     return worst

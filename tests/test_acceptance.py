@@ -220,7 +220,7 @@ def test_criterion_7_energy_threshold(nl):
                                           p_init=plateau_ramp_eta(0.5, g, n))
         assert rep.value < 0.0
         drift_eff = DriftField.radial("gauss_out", sigma_star / 2)
-        vals, _ = newton_steady(g, drift_eff, nl, prof.values, 0.0, 0.0)
+        vals, _ = newton_steady(g, drift_eff, nl, prof.values, 0.0)
         assert steady_residual(g, drift_eff, nl, vals) < 1e-5
         assert np.max(vals) > 0.1  # non-trivial steady state
 
@@ -248,7 +248,7 @@ def test_criterion_9_gene_flow_equivalence(nl):
             x = g.grid(n)
             p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * THETA)
             discs.append(equivalence_check(nl, lambda p: 1.0 + np.asarray(p, dtype=float),
-                                           g, p0, lambda t: 0.0, T=2.0, dt=dt,
+                                           g, p0, 0.0, T=2.0, dt=dt,
                                            snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5

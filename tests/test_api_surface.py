@@ -12,10 +12,12 @@ and are skipped.
 
 A public definition that only its own tests reach is code no experiment
 runs.  The reachability scan matches each public module-level function and
-class of ``src/rdcontrol`` by name (a bare name that no local of the same
-name hides, the last attribute or an imported name) against every
-top-level statement of ``src/`` other than its own definition, and of
-``tests/test_acceptance.py``.
+class of ``src/rdcontrol``, and each public method or property of such a
+class, by name (a bare name that no local of the same name hides, the last
+attribute or an imported name) against every statement of ``src/`` other
+than its own definition, and against ``tests/test_acceptance.py``.  A
+statement is a top-level statement or, inside a class, its header (bases
+and decorators) or one statement of its body.
 
 The package's only scipy import is ``scipy.linalg.lapack`` (the tridiagonal
 ``dgttrf``/``dgttrs``): Simpson quadrature and PCHIP live in
@@ -129,26 +131,56 @@ def _references(node, hidden=frozenset()) -> set:
     return names
 
 
+def _units(tree: ast.Module):
+    """(top-level statement, statement) for each statement of ``tree``; a
+    class contributes its header and each statement of its body."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt, ast.Module(body=[*stmt.decorator_list, *stmt.bases, *stmt.keywords],
+                                   type_ignores=[])
+            yield from ((stmt, sub) for sub in stmt.body)
+        else:
+            yield stmt, stmt
+
+
+def _public_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def _unreached(sources: dict, extra: list) -> list:
     """``module.name`` of each public module-level function or class of the
-    ``sources`` (module name to source) that no top-level statement of the
-    sources other than its own definition, nor any of the ``extra``
-    sources, references."""
-    statements = [(module, stmt, _references(stmt)) for module, source in sources.items()
-                  for stmt in ast.parse(source).body]
+    ``sources`` (module name to source), and ``module.Class.name`` of each
+    public method of such a class, that no statement of the sources other
+    than its own definition, nor any of the ``extra`` sources, references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    units = [(top, sub, _references(sub)) for tree in trees.values() for top, sub in _units(tree)]
     reached = set().union(*(_references(ast.parse(source)) for source in extra))
-    return [f"{module}.{stmt.name}" for module, stmt, _ in statements
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-            and stmt.name not in reached
-            and not any(stmt.name in refs for _, other, refs in statements if other is not stmt)]
+
+    def unreached(node, own) -> bool:
+        return node.name not in reached and not any(node.name in refs
+                                                    for top, sub, refs in units if not own(top, sub))
+
+    found = []
+    for module, tree in trees.items():
+        for stmt in filter(_public_def, tree.body):
+            if unreached(stmt, lambda top, sub: top is stmt):
+                found.append(f"{module}.{stmt.name}")
+            if isinstance(stmt, ast.ClassDef):
+                found += [f"{module}.{stmt.name}.{method.name}"
+                          for method in filter(_public_def, stmt.body)
+                          if unreached(method, lambda top, sub: sub is method)]
+    return found
 
 
 def test_the_reachability_scan_reads_references():
-    sources = {"a": "def used(): pass\ndef alone(): alone()\nclass K: pass\n_x = used\n",
-               "b": "from .a import K\ndef _private(): pass\ndef cited(): pass\n"
+    sources = {"a": "def used(): pass\ndef alone(): alone()\nclass K: pass\n_x = used\n"
+                    "class J(K):\n    def called(self): return self.prop\n"
+                    "    def lonely(self): return self.lonely()\n"
+                    "    @property\n    def prop(self): pass\n    def _hidden(self): pass\n",
+               "b": "from .a import K, J\ndef _private(): pass\ndef cited(): pass\n"
                     "def local(): pass\ndef _f(local=1):\n    return local\n"
                     "def _g():\n    local = 2\n    return local\n"}
-    assert _unreached(sources, ["cited()"]) == ["a.alone", "b.local"]
+    assert _unreached(sources, ["cited()\nJ().called()"]) == ["a.alone", "a.J.lonely", "b.local"]
 
 
 def test_every_public_definition_is_reached():

@@ -178,6 +178,17 @@ class TestCommands:
         info = json.loads((tmp_path / "out" / "eigen.json").read_text())
         assert info["lambda1_dirichlet"] == pytest.approx((np.pi / 2) ** 2, rel=1e-3)
 
+    def test_eigen_on_a_radial_drift_reports_the_certificate_eigenvalue(self, tmp_path):
+        rc = main(["eigen", "--scenario", _write_scenario(tmp_path, {
+            "experiment": "eigen", "domain": {"kind": "interval", "L": 1.0}, "n": 128,
+            "drift": {"kind": "radial", "family": "gauss_in", "sigma": 1.0}}),
+            "--out", str(tmp_path / "out")])
+        assert rc == 0
+        info = json.loads((tmp_path / "out" / "eigen.json").read_text())
+        assert info["certificate"]["which"] == "general"
+        assert info["lambda_sigma"] == info["certificate"]["lhs"]
+        assert info["lambda_sigma"] > info["lambda1_dirichlet"]
+
     def test_barriers_strong_preset(self, tmp_path):
         rc = main(["preset", "fig5_strong", "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -384,7 +395,9 @@ class TestCommands:
         ({"sigmas": [1, "x"]}, "sigmas must be a list of numbers"),
         ({"f": {"kind": "tabulated", "theta": 0.33}}, "missing field f.p"),
         ({"n": "abc"}, "n must be a finite number"),
-        ({"dt": "x"}, "dt must be a finite number")])
+        ({"dt": "x"}, "dt must be a finite number"),
+        ({"drift": {"kind": "infection", "family": "affine", "a": 1, "b": 1}},
+         "reads no drift, got drift.kind 'infection'")])
     def test_exit_code_bad_mintime_values(self, tmp_path, capsys, block, message):
         sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5], **block})
         assert main(["preset", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2

@@ -133,12 +133,11 @@ class TestSimulate:
         assert dist[0] == pytest.approx(1.0)
         assert np.all(np.diff(dist) <= 1e-12)  # monotone decay run
 
-    def test_drifts_with_equal_eps_do_not_share_an_operator(self, nl033):
-        # two slowly-varying drifts that differ only in n and n'
+    def test_drifts_with_equal_sigma_do_not_share_an_operator(self, nl033):
+        # two radial drifts that differ only in their family
         g = DomainGeometry.interval(2.0)
         p0 = GridProfile(g, np.ones(101))
-        for drift in (DriftField.slow(np.sin, np.cos, eps=1.0),
-                      DriftField.slow(lambda x: -np.sin(x), lambda x: -np.cos(x), eps=1.0)):
+        for drift in (DriftField.radial("gauss_out", 1.0), DriftField.radial("gauss_in", 1.0)):
             sim = simulate(p0, nl033, drift, ControlSchedule.static(0.0), T=5.0, dt=0.01)
             vals = hold(_Stepper(g, 101, drift, nl033, 0.01), p0.values, 0.0, 500)
             assert np.array_equal(sim.snapshots[-1].values, vals)

@@ -101,7 +101,7 @@ class TestDrift:
         x = np.linspace(0.0, 2.0, 9)
         assert np.allclose(d.b(x), -x)
         assert np.allclose(d.coeff(x), -2 * x / 40.0)
-        assert np.allclose(d.N(x), np.exp(-0.5 * x**2))
+        assert np.allclose(np.exp(d.ln_N(x)), np.exp(-0.5 * x**2))
         d_in = DriftField.radial("gauss_in", 2.0)
         assert np.allclose(d_in.b(x), x)
         d_abs = DriftField.radial("abs_exp", 1.0)
@@ -119,15 +119,7 @@ class TestDrift:
     def test_homogeneous_trivial(self):
         d = DriftField.homogeneous()
         x = np.linspace(-1, 1, 5)
-        assert np.all(d.b(x) == 0) and np.all(d.N(x) == 1.0)
-        assert d.eps_n_inf(x) == 0.0
-
-    def test_slow_form(self):
-        d = DriftField.slow(lambda x: np.sin(x), lambda x: np.cos(x), eps=0.1)
-        x = np.linspace(-2, 2, 11)
-        # advection coefficient eps * n'(x)
-        assert np.allclose(d.coeff(x), 0.1 * np.cos(x))
-        assert d.eps_n_inf(x) == pytest.approx(0.1 * np.max(np.abs(np.sin(x))))
+        assert np.all(d.b(x) == 0) and np.all(np.exp(d.ln_N(x)) == 1.0)
 
     def test_infection_validation(self):
         DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
@@ -138,7 +130,7 @@ class TestDrift:
         # N depends on p: there is no b(x) or ln N(x) to fall back to N = 1 with
         d = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         x = np.linspace(-1.0, 1.0, 5)
-        for method in (d.b, d.ln_N, d.eps_n_inf, d.coeff, d.weight_sigma):
+        for method in (d.b, d.ln_N, d.coeff, d.weight_sigma):
             with pytest.raises(InvalidInput, match="invalid-drift-kind.*transform-check"):
                 method(x)
 

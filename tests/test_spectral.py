@@ -119,25 +119,21 @@ class TestCertificates:
     def test_general_unblocking_smallsigma(self, nl033):
         # lambda_sigma ~ 2/sigma -> certificate holds once 2/sigma > M
         g = DomainGeometry.interval(3.0)
-        cert = uniqueness_certificate(nl033, DriftField.radial("gauss_in", 0.25), g,
-                                      which="general")
+        cert = uniqueness_certificate(nl033, DriftField.radial("gauss_in", 0.25), g)
         assert cert.holds and cert.lhs > 7.0
 
     def test_general_fails_weak_drift(self, nl033):
         g = DomainGeometry.interval(2.5)
-        cert = uniqueness_certificate(nl033, DriftField.radial("gauss_in", 40.0), g,
-                                      which="general")
+        cert = uniqueness_certificate(nl033, DriftField.radial("gauss_in", 40.0), g)
         assert not cert.holds
 
-    def test_zero_bc_rejects_radial(self, nl033):
-        with pytest.raises(InvalidInput, match="assumption-inapplicable"):
-            uniqueness_certificate(nl033, DriftField.radial("gauss_out", 1.0),
-                                   DomainGeometry.interval(1.0), which="zero-bc")
-
-    def test_slow_form_amplitude_enters(self, nl033):
-        # rhs multiplies by exp(eps ||n||_inf)
+    def test_label_follows_the_drift(self, nl033, homog):
+        # with no drift the weight N^{2/sigma} is 1, so lambda_sigma is lambda_1^D
         g = DomainGeometry.interval(1.0)
-        drift = DriftField.slow(lambda x: np.sin(np.pi * x),
-                                lambda x: np.pi * np.cos(np.pi * x), eps=0.2)
-        cert = uniqueness_certificate(nl033, drift, g)
-        assert cert.rhs == pytest.approx(0.67 * np.exp(0.2), rel=1e-6)
+        cert = uniqueness_certificate(nl033, homog, g, n=128)
+        assert cert.which == "zero-bc"
+        assert cert.lhs == dirichlet_lambda1(g, 128).lambda_
+        radial = DriftField.radial("gauss_out", 1.0)
+        cert = uniqueness_certificate(nl033, radial, g, n=128)
+        assert cert.which == "general"
+        assert cert.lhs == lambda_sigma(g, radial, 128).lambda_
