@@ -136,11 +136,10 @@ def _run_simulate(sc: Scenario) -> int:
             tag = f"{a:g}"
         sim = simulate(p0, sc.nl, sc.drift, ControlSchedule.static(a),
                        sc.T, sc.dt, snapshot_every=max(1, int(round(sc.T / sc.dt / 40))))
-        rows = []
-        for t, snap in zip(sim.times, sim.snapshots):
-            for x, p in zip(snap.x, snap.values):
-                rows.append((float(t), float(x), float(p)))
-        write_csv(os.path.join(sc.out_dir, f"simulate_to_{tag}.csv"), ["t", "x", "p"], rows, sc.raw)
+        columns = (np.repeat(sim.times, sc.n), np.tile(p0.x, len(sim.snapshots)),
+                   np.concatenate([snap.values for snap in sim.snapshots]))
+        write_csv(os.path.join(sc.out_dir, f"simulate_to_{tag}.csv"), ["t", "x", "p"],
+                  zip(*(c.tolist() for c in columns)), sc.raw)
         series = [(snap.x, snap.values, f"rgb({int(200*k/max(1,len(sim.snapshots)-1))},0,0)", "")
                   for k, snap in enumerate(sim.snapshots)]
         line_plot(os.path.join(sc.out_dir, f"simulate_to_{tag}.svg"), series,

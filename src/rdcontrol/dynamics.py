@@ -10,6 +10,12 @@ With controls and data in [0, 1] and dt * ||f'||_inf < 1 the update is
 monotone, so the discrete comparison principle and the invariant region
 survive exactly; discrete steady states are exact fixed points of the
 step.
+
+Finiteness is checked once per step, by the tridiagonal solve: a step
+that overflows raises SolverFailure there.  The reaction term is
+evaluated unchecked (``BistableNonlinearity._f_values``), since the
+state it reads is a validated start profile or the previous checked
+solve.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class _Stepper:
         self.nl = nl
 
     def advance(self, vals: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
-        rhs = vals + self.dt * np.asarray(self.nl.f(vals))
+        rhs = vals + self.dt * self.nl._f_values(vals)
         rhs[-1] = u_right
         if self.pin_left:
             rhs[0] = u_left

@@ -131,7 +131,7 @@ def solve_tridiagonal(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise SolverFailure(f"solver-failure: singular tridiagonal matrix (pivot {info})")
     x, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SolverFailure("solver-failure: non-finite tridiagonal solution")
     return x
 
@@ -145,15 +145,14 @@ def _interior_rows(geometry: DomainGeometry, n: int):
 
 def steady_residual(
     geometry: DomainGeometry,
-    drift: DriftField,
+    ops: tuple,
     nl: BistableNonlinearity,
     p: np.ndarray,
 ) -> float:
-    """Max norm of A p + f(p) over the PDE rows."""
-    n = p.size
-    lower, diag, upper = assemble_operator(geometry, n, drift)
-    res = apply_operator(lower, diag, upper, p) + nl.f(p)
-    return float(np.max(np.abs(res[_interior_rows(geometry, n)])))
+    """Max norm of A p + f(p) over the PDE rows; ``ops`` is the
+    (lower, diag, upper) of :func:`assemble_operator` on the grid of p."""
+    res = apply_operator(*ops, p) + nl.f(p)
+    return float(np.max(np.abs(res[_interior_rows(geometry, p.size)])))
 
 
 _NEWTON_TOL = 1e-11  # max-norm residual at which Newton stops
@@ -162,22 +161,22 @@ _NEWTON_MAX_ITER = 60
 
 def newton_steady(
     geometry: DomainGeometry,
-    drift: DriftField,
+    ops: tuple,
     nl: BistableNonlinearity,
     seed: np.ndarray,
     bc: float,
 ) -> tuple[np.ndarray, float]:
     """Damped Newton solve of A p + f(p) = 0 with the boundary pinned to ``bc``.
 
-    On an interval both end nodes are pinned; on a ball only r = R is,
-    and the origin row carries the regularized operator.  Returns the solution
-    and its residual; raises SolverFailure on divergence.  A stalled line
-    search returns the iterate when its residual is within 4x the
-    roundoff floor eps * max|diag| * max|p| of A p, which can exceed
-    _NEWTON_TOL on fine grids.
+    ``ops`` is the (lower, diag, upper) of :func:`assemble_operator` on
+    the grid of ``seed``.  On an interval both end nodes are pinned; on a
+    ball only r = R is, and the origin row carries the regularized
+    operator.  Returns the solution and its residual; raises SolverFailure
+    on divergence.  A stalled line search returns the iterate when its
+    residual is within 4x the roundoff floor eps * max|diag| * max|p| of
+    A p, which can exceed _NEWTON_TOL on fine grids.
     """
-    n = seed.size
-    lower, diag, upper = assemble_operator(geometry, n, drift)
+    lower, diag, upper = ops
     p = seed.astype(float).copy()
     p[-1] = bc
     ball = geometry.kind == "ball"

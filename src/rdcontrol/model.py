@@ -15,6 +15,12 @@ equation then reads  -p'' + (2x/sigma) p' = f(p)  for the outward
 Gaussian family N(x) = exp(-x^2/2), which is the form the barrier
 solvers integrate.  ``DriftField.coeff`` exposes the raw effective
 coefficient so convention mismatches stay visible.
+
+Every public entry point rejects non-finite input with InvalidInput:
+``BistableNonlinearity.f``, ``fprime`` and ``F`` check their argument and
+``GridProfile`` its values.  The one unchecked path is
+``BistableNonlinearity._f_values``, which the time stepper calls on a
+state that is already checked (see ``rdcontrol.dynamics``).
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ __all__ = [
 
 
 def _check_scalar(p) -> None:
-    arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(np.asarray(p, dtype=float)).all():
         raise InvalidInput("invalid-scalar: non-finite evaluation point")
 
 
@@ -101,12 +106,15 @@ class BistableNonlinearity:
     def f(self, p):
         """Reaction term; scalar in, scalar out (arrays accepted)."""
         _check_scalar(p)
-        p = np.asarray(p, dtype=float)
-        if self.kind == "cubic":
-            out = p * (p - self.theta) * (1.0 - p)
-        else:
-            out = np.where((p < 0.0) | (p > 1.0), 0.0, self._f_interp(np.clip(p, 0.0, 1.0)))
+        out = self._f_values(np.asarray(p, dtype=float))
         return out if out.ndim else float(out)
+
+    def _f_values(self, p: np.ndarray) -> np.ndarray:
+        """f on a float array the caller has already checked for finiteness
+        (the time stepper's state is always a checked solve output)."""
+        if self.kind == "cubic":
+            return p * (p - self.theta) * (1.0 - p)
+        return np.where((p < 0.0) | (p > 1.0), 0.0, self._f_interp(np.clip(p, 0.0, 1.0)))
 
     def fprime(self, p):
         _check_scalar(p)
@@ -315,7 +323,7 @@ class GridProfile:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 3:
             raise InvalidInput("invalid-profile: need a 1-d array of >= 3 values")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidInput("invalid-profile: non-finite values")
 
     @property

@@ -23,6 +23,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -249,13 +250,25 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
                     seed=_num(merged, "seed", "", 0, int))
 
 
+def _row_template(row) -> str:
+    """The ``%`` template of one CSV row: ``'%.10g'`` for a float cell
+    (``inf``, ``-inf`` and ``nan`` included), ``'%s'`` for any other."""
+    return ",".join(["%.10g" if isinstance(v, float) else "%s" for v in row])
+
+
 def write_csv(path: str, header: list, rows, raw_scenario: dict) -> None:
     """RFC-4180 CSV with a single-field meta row first; 10 significant
-    digits keep reruns byte-identical and past the 6-digit contract."""
+    digits keep reruns byte-identical and past the 6-digit contract.
+
+    Each row is formatted by one ``%`` template (:func:`_row_template`);
+    when every cell is a float, one template serves the whole file."""
     meta = f"# scenario={scenario_hash(raw_scenario)} rdcontrol={__version__}"
     lines = [f'"{meta}"', ",".join(header)]
-    for row in rows:
-        lines.append(",".join([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]))
+    rows = [tuple(row) for row in rows]
+    if all(issubclass(k, float) for k in set(map(type, chain.from_iterable(rows)))):
+        lines += map(_row_template([0.0] * len(header)).__mod__, rows)
+    else:
+        lines += [_row_template(row) % row for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

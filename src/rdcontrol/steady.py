@@ -313,7 +313,7 @@ def _setup(drift: DriftField, R: float, d: int, n_grid: int):
     return geometry, assemble_operator(geometry, n_grid, drift)
 
 
-def _marched_barrier(nl, drift, geometry, ops, alpha, bv) -> Optional[Barrier]:
+def _marched_barrier(nl, geometry, ops, alpha, bv) -> Optional[Barrier]:
     """Barrier seeded by the column marched from ``alpha``, extended by
     ``bv`` past its reach node, mirrored onto an interval grid and
     Newton-polished with the boundary pinned to ``bv``; None when Newton
@@ -323,7 +323,7 @@ def _marched_barrier(nl, drift, geometry, ops, alpha, bv) -> Optional[Barrier]:
     half = np.full(n if geometry.kind == "ball" else n - n // 2, bv)
     half[:column.size] = column
     try:
-        vals, residual = newton_steady(geometry, drift, nl, _unfold(geometry, n, half), bv)
+        vals, residual = newton_steady(geometry, ops, nl, _unfold(geometry, n, half), bv)
     except SolverFailure:
         return None
     if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
@@ -362,7 +362,7 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField,
             return None
         roots = [max(zip(reach[feasible], alphas[feasible]))[1]]
     for a in roots:
-        barrier = _marched_barrier(nl, drift, geometry, ops, a, 1.0)
+        barrier = _marched_barrier(nl, geometry, ops, a, 1.0)
         if barrier is not None:
             return barrier
     return None
@@ -381,7 +381,7 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
     geometry, ops = _setup(drift, R, d, n_grid)
     alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
     reach = _march(nl, geometry, ops, alphas, 0.0)[0]
-    candidates = [_marched_barrier(nl, drift, geometry, ops, a, 0.0)
+    candidates = [_marched_barrier(nl, geometry, ops, a, 0.0)
                   for a in _edges(nl, geometry, ops, alphas, reach < n_grid, 0.0)]
     return min((b for b in candidates if b is not None), key=lambda b: b.residual, default=None)
 
@@ -414,7 +414,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
         half = _march(nl, geometry, ops, np.asarray(s_values) * nl.theta, keep=True)[1]
         if not np.all(np.abs(half) <= _P_MAX):
             raise SolverFailure(f"stiff-failure: a marched path member left |p| <= {_P_MAX:g}")
-        return [GridProfile(geometry, newton_steady(geometry, drift, nl, col, col[-1])[0])
+        return [GridProfile(geometry, newton_steady(geometry, ops, nl, col, col[-1])[0])
                 for col in _unfold(geometry, n_grid, half).T]
 
     s_values = list(np.linspace(0.0, 1.0, K))
@@ -432,7 +432,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
         s_values = sorted(s_values + inserts)
 
     ordered = [profiles[s] for s in s_values]
-    max_res = max(steady_residual(geometry, drift, nl, pr.values) for pr in ordered)
+    max_res = max(steady_residual(geometry, ops, nl, pr.values) for pr in ordered)
     admissible = all(np.min(pr.values) >= -1e-9 and np.max(pr.values) <= 1.0 + 1e-9
                      for pr in ordered)
     return SteadyPath(profiles=ordered, s_values=np.asarray(s_values), delta=delta,

@@ -53,9 +53,9 @@ def line_plot(path: str, series: list, title: str, xlabel: str, ylabel: str) -> 
     parts.append(f'<text x="16" y="{H/2}" text-anchor="middle" font-size="13" '
                  f'transform="rotate(-90 16 {H/2})">{ylabel}</text>')
     for i, (x, y, color, label) in enumerate(series):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        px = sx(np.asarray(x, dtype=float)).tolist()
+        py = sy(np.asarray(y, dtype=float)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if label:
             ly = MARGIN + 16 * (i + 1)

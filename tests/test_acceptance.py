@@ -32,7 +32,7 @@ from oracles import homogeneous_critical_length, interval_lambda1
 from rdcontrol import steady
 from rdcontrol.control import controllability_report, mintime_scan, staircase_to_theta
 from rdcontrol.dynamics import _Stepper, asymptotic_verdict
-from rdcontrol.elliptic import newton_steady, steady_residual
+from rdcontrol.elliptic import assemble_operator, newton_steady, steady_residual
 from rdcontrol.energy import (
     energy_sigma,
     laplace_ratio_check,
@@ -220,8 +220,9 @@ def test_criterion_7_energy_threshold(nl):
                                           p_init=plateau_ramp_eta(0.5, g, n))
         assert rep.value < 0.0
         drift_eff = DriftField.radial("gauss_out", sigma_star / 2)
-        vals, _ = newton_steady(g, drift_eff, nl, prof.values, 0.0)
-        assert steady_residual(g, drift_eff, nl, vals) < 1e-5
+        ops = assemble_operator(g, n, drift_eff)
+        vals, _ = newton_steady(g, ops, nl, prof.values, 0.0)
+        assert steady_residual(g, ops, nl, vals) < 1e-5
         assert np.max(vals) > 0.1  # non-trivial steady state
 
 

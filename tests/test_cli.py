@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -141,6 +142,66 @@ class TestCsv:
         write_csv(str(path), ["a", "b"], [(-math.inf, math.inf)], {})
         assert path.read_text().splitlines()[2] == "-inf,inf"
         assert np.loadtxt(path, delimiter=",", skiprows=2).tolist() == [-math.inf, math.inf]
+
+    @pytest.mark.parametrize("rows", [
+        [(math.inf, -math.inf, math.nan, -0.0)],
+        [(1e-300, 1e300, -1e-300, 5e-324), (np.float64(1.0 / 3.0), np.float64(-2.5e-17),
+                                             np.float64(1e300), np.float64(-0.0))],
+        [(1, -7, np.int64(12345678901), True), ("x", "p", "", "a,b")],
+        [("to_zero", "blocked", math.inf), ("to_one", "converged", 50.4),
+         ("to_theta", "blocked", math.inf)],
+        [(0.5, 2), (2, 0.5), ("inf", math.inf)],
+        [],
+    ], ids=["non-finite", "extremes-and-float64", "ints-and-strings", "report", "mixed", "empty"])
+    def test_rows_match_the_per_cell_rule(self, tmp_path, rows):
+        # the rule the CSV format is defined by: format(v, ".10g") for a
+        # float, str(v) for anything else, one cell at a time
+        path = tmp_path / "t.csv"
+        header = [f"c{k}" for k in range(len(rows[0]) if rows else 2)]
+        write_csv(str(path), header, iter(rows), {})
+        expected = [",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in row)
+                    for row in rows]
+        assert path.read_bytes().decode().split("\r\n")[2:-1] == expected
+
+
+class TestSvg:
+    @staticmethod
+    def _per_point(series, x, y) -> str:
+        """Polyline points as one f-string per point, with the axis maps
+        of ``line_plot`` written out."""
+        from rdcontrol.svgplot import H, MARGIN, W
+
+        xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
+        ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+        x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+        y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+        if y_hi - y_lo < 1e-12:
+            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+
+        def sx(v):
+            return MARGIN + (v - x_lo) / (x_hi - x_lo) * (W - 2 * MARGIN)
+
+        def sy(v):
+            return H - MARGIN - (v - y_lo) / (y_hi - y_lo) * (H - 2 * MARGIN)
+
+        return " ".join(f"{sx(a):.2f},{sy(b):.2f}"
+                        for a, b in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+
+    @pytest.mark.parametrize("series", [
+        # one constant series: the y range is widened by +-0.5
+        [(np.linspace(-3.0, -1.0, 41), np.full(41, -0.25), "black", "")],
+        [(np.linspace(-3.0, -1.0, 41), np.full(41, -0.25), "black", "flat"),
+         (np.linspace(-2.5, 0.5, 77), -np.sin(np.linspace(0.0, 7.0, 77)) ** 3, "red", "")],
+    ], ids=["constant", "negative-and-mixed"])
+    def test_polyline_matches_per_point_format(self, tmp_path, series):
+        from rdcontrol.svgplot import line_plot
+
+        path = tmp_path / "p.svg"
+        line_plot(str(path), series, title="t", xlabel="x", ylabel="y")
+        points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert points == [self._per_point(series, x, y) for x, y, _, _ in series]
 
 
 def _write_scenario(tmp_path, obj, name="sc.json"):
@@ -309,6 +370,22 @@ class TestCommands:
             assert out[f"{a:g}"]["status"] == "converged"
             assert out[f"{a:g}"]["time"] == pytest.approx(first, abs=1e-9)
             assert out[f"{a:g}"]["time"] < PRESETS["fig6"]["T"]
+
+    def test_simulate_csv_rows_are_the_snapshots_node_by_node(self, tmp_path):
+        # the reference is the nested loop over snapshots, then grid nodes
+        from rdcontrol.dynamics import ControlSchedule, simulate
+
+        raw = {"preset": "fig6_strong", "n": 21, "T": 2.0, "targets": [[0.33, 0.9]]}
+        assert main(["preset", "--scenario", _write_scenario(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) in (0, 3)
+        sc = load_scenario(raw)
+        sim = simulate(GridProfile(sc.geometry, np.full(sc.n, 0.9)), sc.nl, sc.drift,
+                       ControlSchedule.static(0.33), sc.T, sc.dt,
+                       snapshot_every=max(1, int(round(sc.T / sc.dt / 40))))
+        expected = [f"{t:.10g},{x:.10g},{p:.10g}" for t, snap in zip(sim.times, sim.snapshots)
+                    for x, p in zip(snap.x, snap.values)]
+        text = (tmp_path / "o" / "simulate_to_0.33_from_0.9.csv").read_bytes().decode()
+        assert text.split("\r\n")[2:-1] == expected
 
     @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.8, 1.25), n=st.integers(17, 65),
            L=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))

@@ -45,6 +45,30 @@ class TestStep:
             _Stepper(interval_25, 201, homog, nl033, 1.6)  # dt * 0.67 > 1
 
 
+class TestFiniteness:
+    """The stepper evaluates f unchecked; the solve's check is the one
+    finiteness guard of a step, and the public entry points keep theirs."""
+
+    def test_overflowing_step_raises(self, nl033, homog, interval_25):
+        # a finite state whose cubic overflows to -inf inside the step
+        st = _Stepper(interval_25, 201, homog, nl033, 0.02)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverFailure, match="solver-failure: non-finite tridiagonal solution"):
+            st.advance(np.full(201, 1e200), 0.0, 0.0)
+
+    def test_public_entry_points_reject_non_finite_input(self, nl033, interval_25):
+        from rdcontrol.elliptic import factor_tridiagonal, solve_tridiagonal
+
+        for bad in (np.nan, np.inf, np.array([0.5, -np.inf])):
+            with pytest.raises(InvalidInput, match="invalid-scalar: non-finite evaluation point"):
+                nl033.f(bad)
+        with pytest.raises(InvalidInput, match="invalid-profile: non-finite values"):
+            GridProfile(interval_25, np.array([0.0, np.nan, 0.0]))
+        factor = factor_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3))
+        with pytest.raises(SolverFailure, match="solver-failure: non-finite tridiagonal solution"):
+            solve_tridiagonal(factor, np.array([0.0, np.nan, 0.0]))
+
+
 class TestInvariants:
     def test_invariant_region(self, nl033, interval_25):
         rng = np.random.default_rng(5)

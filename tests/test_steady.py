@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import F_quad, homogeneous_critical_length, rk4_fixed
-from rdcontrol.elliptic import steady_residual
+from rdcontrol.elliptic import assemble_operator, steady_residual
 from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField
 from rdcontrol.steady import (
     build_steady_path,
@@ -142,7 +142,8 @@ class TestBarriers:
         drift_eff = DriftField.radial("gauss_out", SIGMA_STRONG)
         x_fine = geom.grid(801)
         seed = np.interp(x_fine, b.profile.x, b.profile.values)
-        vals, residual = newton_steady(geom, drift_eff, nl033, seed, 0.0)
+        ops = assemble_operator(geom, 801, drift_eff)
+        vals, residual = newton_steady(geom, ops, nl033, seed, 0.0)
         assert residual < 1e-5
         assert np.max(np.abs(np.interp(b.profile.x, x_fine, vals) - b.profile.values)) < 1e-3
 
@@ -216,7 +217,7 @@ class TestDiscreteSearch:
         reach = steady._march(nl033, geometry, ops, alphas, 1.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < 801, 1.0)
         assert upper == pytest.approx(0.2925, abs=1e-4)
-        assert steady._marched_barrier(nl033, gauss_out, geometry, ops, upper, 1.0) is not None
+        assert steady._marched_barrier(nl033, geometry, ops, upper, 1.0) is not None
         b = find_barrier_one(nl033, gauss_out, 2.5, 1)
         assert b.alpha == lower
         assert b.p_min == pytest.approx(0.0298003422, abs=1e-6)
@@ -237,12 +238,12 @@ class TestDiscreteSearch:
         reach = steady._march(nl033, geometry, ops, alphas, 0.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < n, 0.0)
         assert upper == pytest.approx(0.98861, abs=1e-4)
-        marched = steady._marched_barrier(nl033, gauss_out, geometry, ops, upper, 0.0)
+        marched = steady._marched_barrier(nl033, geometry, ops, upper, 0.0)
 
         eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
         prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, geometry, n,
                                         p_init=eta, max_iter=4000)
-        vals, _ = newton_steady(geometry, gauss_out, nl033, prof.values, 0.0)
+        vals, _ = newton_steady(geometry, ops, nl033, prof.values, 0.0)
         assert np.max(np.abs(vals - marched.profile.values)) <= 1e-9
 
         b = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=n)
@@ -256,9 +257,9 @@ class TestDiscreteSearch:
         seed_residuals = []
         newton = steady.newton_steady
 
-        def spy(geometry, drift, nl, seed, *args, **kwargs):
-            seed_residuals.append(steady_residual(geometry, drift, nl, seed))
-            return newton(geometry, drift, nl, seed, *args, **kwargs)
+        def spy(geometry, ops, nl, seed, *args, **kwargs):
+            seed_residuals.append(steady_residual(geometry, ops, nl, seed))
+            return newton(geometry, ops, nl, seed, *args, **kwargs)
 
         monkeypatch.setattr(steady, "newton_steady", spy)
         b = find_barrier_one(nl033, gauss_out, 2.5, 1)
@@ -286,7 +287,8 @@ class TestBarrierProperties:
             b = finder(nl, drift, 2.5, 1, n_grid=n)
             if b is None:
                 continue
-            assert steady_residual(b.profile.geometry, drift, nl, b.profile.values) <= 1e-9
+            ops = assemble_operator(b.profile.geometry, n, drift)
+            assert steady_residual(b.profile.geometry, ops, nl, b.profile.values) <= 1e-9
             assert np.min(b.profile.values) >= 0.0 and np.max(b.profile.values) <= 1.0
             assert isinstance(b.alpha, float)
 
@@ -320,9 +322,9 @@ class TestSteadyPath:
         seed_residuals = []
         newton = steady.newton_steady
 
-        def spy(geometry, drift, nl, seed, *args, **kwargs):
-            seed_residuals.append(steady_residual(geometry, drift, nl, seed))
-            return newton(geometry, drift, nl, seed, *args, **kwargs)
+        def spy(geometry, ops, nl, seed, *args, **kwargs):
+            seed_residuals.append(steady_residual(geometry, ops, nl, seed))
+            return newton(geometry, ops, nl, seed, *args, **kwargs)
 
         monkeypatch.setattr(steady, "newton_steady", spy)
         for drift in (homog, DriftField.radial("gauss_in", 2.5), DriftField.radial("gauss_out", 4.0)):
@@ -354,8 +356,8 @@ class TestSteadyPath:
 def test_barrier_residual_cited_in_steady_residual(nl033, gauss_out):
     b = find_barrier_one(nl033, gauss_out, 2.5, 1)
     geom = b.profile.geometry
-    assert steady_residual(geom, DriftField.radial("gauss_out", SIGMA_STRONG),
-                           nl033, b.profile.values) < 1e-6
+    ops = assemble_operator(geom, b.profile.n, DriftField.radial("gauss_out", SIGMA_STRONG))
+    assert steady_residual(geom, ops, nl033, b.profile.values) < 1e-6
 
 
 def test_certificate_soundness_sweep(nl033, homog):
