@@ -60,7 +60,7 @@ def run(sc: Scenario) -> int:
     """Dispatch one scenario; writes artifacts into sc.out_dir."""
     os.makedirs(sc.out_dir, exist_ok=True)
     kind = sc.experiment
-    if kind in ("barriers", "phase-portrait"):
+    if kind == "barriers":
         return _run_barriers(sc)
     if kind == "simulate":
         return _run_simulate(sc)
@@ -90,13 +90,11 @@ def _run_barriers(sc: Scenario) -> int:
     from .steady import find_barrier_one, find_barrier_zero, shoot_radial
     from .svgplot import phase_portrait
 
-    d = sc.geometry.d if sc.geometry.kind == "ball" else 1
-    R = sc.geometry.inradius()
     boundaries = [int(sc.raw.get("boundary", 0))] if "boundary" in sc.raw else [0, 1]
     events = {}
     for bv in boundaries:
         finder = find_barrier_one if bv == 1 else find_barrier_zero
-        barrier = finder(sc.nl, sc.drift, R, d, n_grid=sc.n)
+        barrier = finder(sc.nl, sc.drift, sc.geometry, n_grid=sc.n)
         tag = f"barrier_{bv}"
         if barrier is None:
             events[tag] = {"exists": False}
@@ -108,7 +106,8 @@ def _run_barriers(sc: Scenario) -> int:
                        "alpha": barrier.alpha}
         # the continuous shot from the search's alpha, not from the
         # profile's clipped centre: the phase portrait and crossing radii
-        tr = shoot_radial(sc.nl, sc.drift, sc.drift.sigma, barrier.alpha, d, 1.02 * R, 1e-3)
+        tr = shoot_radial(sc.nl, sc.drift, barrier.alpha, sc.geometry.d,
+                          1.02 * sc.geometry.inradius(), 1e-3)
         write_csv(os.path.join(sc.out_dir, f"{tag}_trajectory.csv"), ["r", "p", "v"],
                   zip(tr.r.tolist(), tr.p.tolist(), tr.v.tolist()), sc.raw)
         events[tag]["events"] = {k: v for k, v in tr.events.items()}
@@ -215,13 +214,13 @@ def _run_energy(sc: Scenario) -> int:
     lo, hi = (sigma_star / 8.0, sigma_star * 8.0) if 0.0 < sigma_star < math.inf else (1e-3, 8.0)
     rows = []
     for sig in np.geomspace(lo, hi, 9):
-        rep = energy_sigma(sc.nl, sc.drift, float(sig), eta, sc.geometry)
+        rep = energy_sigma(sc.nl, sc.drift, float(sig), eta)
         rows.append((float(sig), rep.value, rep.gradient_part, rep.potential_part))
     write_csv(os.path.join(sc.out_dir, "energy_scan.csv"),
               ["sigma", "value_scaled", "gradient_scaled", "potential_scaled"], rows, sc.raw)
     at_star = None
     if 0.0 < sigma_star < math.inf:
-        rep = energy_sigma(sc.nl, sc.drift, sigma_star, eta, sc.geometry)
+        rep = energy_sigma(sc.nl, sc.drift, sigma_star, eta)
         at_star = {"sigma": sigma_star, "value": rep.value,
                    "gradient_part": rep.gradient_part, "potential_part": rep.potential_part}
     info = {"sigma_star": sigma_star, "status": status, "delta": delta,
@@ -239,7 +238,7 @@ def _run_transform(sc: Scenario) -> int:
     x = sc.geometry.grid(sc.n)
     L = sc.geometry.inradius()
     p0 = GridProfile(sc.geometry, 0.5 * (1.0 + np.cos(np.pi * x / L)) * sc.nl.theta)
-    disc = equivalence_check(sc.nl, N_of_p, sc.geometry, p0, 0.0, sc.T, sc.dt)
+    disc = equivalence_check(sc.nl, N_of_p, p0, 0.0, sc.T, sc.dt)
     ps = np.linspace(0.0, 1.0, 101)
     rows = [(float(p), float(gf.script_N(p)), float(tilde_f(gf, sc.nl, float(gf.script_N(p)))))
             for p in ps]

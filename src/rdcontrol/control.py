@@ -102,9 +102,8 @@ def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
 
 
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       geometry: DomainGeometry, T_max: float, delta1: float = 0.05,
-                       T1: float = 20.0, dt: float = 0.02, gain: float = 1.0,
-                       path: Optional[SteadyPath] = None) -> StaircaseResult:
+                       T_max: float, delta1: float = 0.05, T1: float = 20.0, dt: float = 0.02,
+                       gain: float = 1.0, path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
     Step 1 applies the static control 0 and is decided by
@@ -119,7 +118,7 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
-    n = p0.n
+    geometry, n = p0.geometry, p0.n
 
     # Step 1: static zero control toward the trivial state
     st = _Stepper(geometry, n, drift, nl, dt)
@@ -185,15 +184,13 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
     matching barrier as a witness when one is found; each barrier is
     searched for at most once and shared by the verdicts that cite it.
     """
-    R = geometry.inradius()
-    d = geometry.d if geometry.kind == "ball" else 1
     ones = GridProfile(geometry, np.ones(n))
     zeros = GridProfile(geometry, np.zeros(n))
     report = {}
 
     @functools.cache
     def witness(finder) -> Optional[Barrier]:
-        return finder(nl, drift, R, d, n_grid=n)
+        return finder(nl, drift, geometry, n_grid=n)
 
     v0 = asymptotic_verdict(ones, nl, drift, 0.0, T_max, dt)
     w0 = witness(find_barrier_zero) if v0.status == "blocked" else None
@@ -203,8 +200,7 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
     w1 = witness(find_barrier_one) if v1.status == "blocked" else None
     report["to_one"] = TargetVerdict(1.0, v1.status, v1.time, w1, v1)
 
-    sc = staircase_to_theta(ones, nl, drift, geometry, delta1=delta1, T1=T1,
-                            T_max=T_max, dt=dt)
+    sc = staircase_to_theta(ones, nl, drift, delta1=delta1, T1=T1, T_max=T_max, dt=dt)
     if sc.success:
         report["to_theta"] = TargetVerdict(nl.theta, "converged", sc.total_time, None, sc)
     else:
@@ -245,8 +241,8 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
                              strategy="staircase (path inadmissible)")
     n_legs = max(1, len(path) - 1)
     T_top = horizons[-1]
-    run = staircase_to_theta(zeros, nl, drift, geometry, T1=T_top / n_legs,
-                             T_max=T_top, dt=dt, path=path)
+    run = staircase_to_theta(zeros, nl, drift, T1=T_top / n_legs, T_max=T_top, dt=dt,
+                             path=path)
     feasible = [T for T in horizons if run.success and _fits(run.legs, T, n_legs, dt)]
     return MinTimeResult(drift.sigma, float(feasible[0]) if feasible else math.inf, "staircase")
 

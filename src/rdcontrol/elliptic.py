@@ -44,7 +44,7 @@ __all__ = [
 def advection_coeff(geometry: DomainGeometry, x: np.ndarray, drift: DriftField) -> np.ndarray:
     """Total first-order coefficient c(x), including the radial (d-1)/r term."""
     c = np.asarray(drift.coeff(x), dtype=float).copy()
-    if geometry.kind == "ball" and geometry.d > 1:
+    if geometry.d > 1:
         with np.errstate(divide="ignore"):
             radial = np.where(x > 0.0, (geometry.d - 1) / np.where(x > 0.0, x, 1.0), 0.0)
         c = c + radial

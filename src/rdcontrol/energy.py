@@ -47,7 +47,7 @@ def _sphere_area(d: int) -> float:
 
 
 def _measure(geometry: DomainGeometry, x: np.ndarray) -> np.ndarray:
-    if geometry.kind == "ball" and geometry.d > 1:
+    if geometry.d > 1:
         return _sphere_area(geometry.d) * np.maximum(x, 0.0) ** (geometry.d - 1)
     if geometry.kind == "ball":
         return np.full_like(x, 2.0)  # d = 1 ball = symmetric interval
@@ -60,15 +60,15 @@ def _log_weight(N_profile: DriftField, sigma: float, x: np.ndarray) -> np.ndarra
 
 
 def energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
-                 p_profile: GridProfile, geometry: DomainGeometry) -> EnergyReport:
-    """Weighted energy of a zero-boundary profile.
+                 p_profile: GridProfile) -> EnergyReport:
+    """Weighted energy of a zero-boundary profile, on its own geometry.
 
     ``N_profile`` is the drift whose density N gives the weight; F uses
     the extension-by-zero convention.  The weight is normalized by its
     max (sign and minimizers unchanged), which keeps extreme sigmas
     representable; the applied shift is reported.
     """
-    vals = p_profile.values
+    geometry, vals = p_profile.geometry, p_profile.values
     x = p_profile.x
     h = p_profile.h
     if abs(vals[-1]) > 1e-12 or (geometry.kind == "interval" and abs(vals[0]) > 1e-12):
@@ -113,7 +113,7 @@ def negative_energy_sigma_threshold(nl: BistableNonlinearity, N_profile: DriftFi
     eta = plateau_ramp_eta(delta, geometry, n)
 
     def sign_at(sigma: float) -> float:
-        return energy_sigma(nl, N_profile, sigma, eta, geometry).value
+        return energy_sigma(nl, N_profile, sigma, eta).value
 
     if sign_at(1e6) < 0.0:
         return 0.0, "always-negative"
@@ -153,17 +153,18 @@ def laplace_ratio_check(c0: float, d: int, phi, eps_list) -> list[float]:
 
 
 def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
-                          geometry: DomainGeometry, n: int, p_init: GridProfile,
+                          p_init: GridProfile,
                           max_iter: int = 10000) -> tuple[GridProfile, EnergyReport]:
     """Projected gradient descent of the weighted energy over profiles
-    clipped to [0, 1] with zero boundary values.
+    clipped to [0, 1] with zero boundary values, on the grid of ``p_init``.
 
     Fixed step 0.5 h^2 / max(w) on the mass-normalized gradient, halved
     whenever a step would increase the energy (the truncation-to-[0,1]
     argument guarantees descent is possible).  Stops on stagnation or at
     the iteration cap.
     """
-    x = geometry.grid(n)
+    geometry = p_init.geometry
+    x = p_init.x
     h = x[1] - x[0]
     logw = _log_weight(N_profile, sigma, x)
     shift = float(np.max(logw))
@@ -216,5 +217,5 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
         p, energy = q, e_new
         if moved < 1e-13:
             break
-    report = energy_sigma(nl, N_profile, sigma, GridProfile(geometry, p), geometry)
-    return GridProfile(geometry, p), report
+    minimizer = GridProfile(geometry, p)
+    return minimizer, energy_sigma(nl, N_profile, sigma, minimizer)

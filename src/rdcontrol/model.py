@@ -273,7 +273,8 @@ class DriftField:
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """Interval (-L, L) or ball of radius R in dimension d (radial)."""
+    """Interval (-L, L), of dimension d = 1, or ball of radius R in
+    dimension d (radial)."""
 
     kind: str
     half_width: float
@@ -286,6 +287,8 @@ class DomainGeometry:
             raise InvalidInput("invalid-geometry: size must be positive")
         if self.kind == "ball" and (self.d < 1 or int(self.d) != self.d):
             raise InvalidInput("invalid-geometry: dimension must be an integer >= 1")
+        if self.kind == "interval" and self.d != 1:
+            raise InvalidInput(f"invalid-geometry: an interval has dimension 1, got d={self.d}")
 
     @classmethod
     def interval(cls, L: float) -> "DomainGeometry":
@@ -343,6 +346,5 @@ class GridProfile:
         if np.min(self.values) < -1e-9 or np.max(self.values) > 1.0 + 1e-9:
             raise InvalidInput("invalid-profile: proportion outside [0,1]")
 
-    def sup_distance(self, other) -> float:
-        other_vals = other.values if isinstance(other, GridProfile) else np.asarray(other)
-        return float(np.max(np.abs(self.values - other_vals)))
+    def sup_distance(self, other: "GridProfile") -> float:
+        return float(np.max(np.abs(self.values - other.values)))

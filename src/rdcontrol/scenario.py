@@ -34,8 +34,8 @@ from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
 __all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash"]
 
-EXPERIMENTS = ("barriers", "phase-portrait", "simulate", "report",
-               "mintime-scan", "eigen", "energy", "transform-check")
+EXPERIMENTS = ("barriers", "simulate", "report", "mintime-scan", "eigen", "energy",
+               "transform-check")
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,8 @@ class Scenario:
         from .steady import find_barrier_one, find_barrier_zero
 
         bv = _num(self.p0_spec, "boundary", "p0", 0.0)
-        d = self.geometry.d if self.geometry.kind == "ball" else 1
         finder = find_barrier_zero if bv == 0.0 else find_barrier_one
-        b = finder(self.nl, self.drift, self.geometry.inradius(), d, n_grid=self.n)
+        b = finder(self.nl, self.drift, self.geometry, n_grid=self.n)
         if b is None:
             raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
         return b.profile

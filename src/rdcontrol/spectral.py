@@ -16,6 +16,7 @@ found by inverse power iteration with the weighted mass matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,8 +42,8 @@ class EigenResult:
     residual: float
 
 
-def _weight_on_grid(weight, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(weight(x) if callable(weight) else weight, dtype=float)
+def _weight_on_grid(weight: Callable, x: np.ndarray) -> np.ndarray:
+    w = np.asarray(weight(x), dtype=float)
     if w.shape != x.shape:
         raise InvalidInput("invalid-weight: weight shape does not match grid")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
@@ -54,12 +55,11 @@ _EIGEN_TOL = 1e-12  # inverse iteration stops when lambda moves less than this
 _EIGEN_MAX_ITER = 10000
 
 
-def weighted_lambda1(geometry: DomainGeometry, weight, n: int) -> EigenResult:
+def weighted_lambda1(geometry: DomainGeometry, weight: Callable, n: int) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet form.
 
-    ``weight`` is a callable or an array of positive values on the
-    geometry grid (w = N^2 or N^{2/sigma}); the quotient is invariant
-    under rescaling of w.
+    ``weight`` maps the grid nodes to positive values (w = N^2 or
+    N^{2/sigma}); the quotient is invariant under rescaling of w.
     """
     if n < 32:
         raise InvalidInput("invalid-grid: eigenvalue solves need n >= 32")
@@ -68,34 +68,24 @@ def weighted_lambda1(geometry: DomainGeometry, weight, n: int) -> EigenResult:
     w = _weight_on_grid(weight, x)
     w = w / np.max(w)  # scale invariance; keeps strong drifts in range
 
-    if geometry.kind == "ball":
-        measure = np.maximum(x, 0.0) ** (geometry.d - 1) if geometry.d > 1 else np.ones_like(x)
-        free = np.arange(0, n - 1)  # r = 0 is a natural (Neumann) node
-    else:
-        measure = np.ones_like(x)
-        free = np.arange(1, n - 1)
+    measure = np.maximum(x, 0.0) ** (geometry.d - 1) if geometry.d > 1 else np.ones_like(x)
+    first = 0 if geometry.kind == "ball" else 1  # r = 0 is a natural (Neumann) node
+    free = np.arange(first, n - 1)
 
     w_mid = 0.5 * (w[:-1] + w[1:])
     m_mid = 0.5 * (measure[:-1] + measure[1:])
     k_edge = w_mid * m_mid / h  # stiffness contribution of each cell
 
+    # a free node j couples through cells j - 1 (none at r = 0) and j to
+    # its free neighbours; node n - 1 is Dirichlet
     nf = free.size
-    diag = np.zeros(nf)
+    diag = np.concatenate(([0.0], k_edge[:-1]))[first:] + k_edge[first:]
     lower = np.zeros(nf)
     upper = np.zeros(nf)
-    pos = {j: i for i, j in enumerate(free)}
-    for i, j in enumerate(free):
-        if j > 0:
-            diag[i] += k_edge[j - 1]
-            if (j - 1) in pos:
-                lower[i] = -k_edge[j - 1]
-        if j < n - 1:
-            diag[i] += k_edge[j]
-            if (j + 1) in pos:
-                upper[i] = -k_edge[j]
+    lower[1:] = upper[:-1] = -k_edge[first:-1]
 
     mass = w[free] * measure[free] * h
-    if geometry.kind == "ball" and geometry.d > 1:
+    if geometry.d > 1:
         # origin node: lumped mass of the half cell [0, h/2]
         mass[0] = w[0] * (h / 2.0) ** geometry.d / geometry.d
     if np.any(mass <= 0.0):

@@ -123,8 +123,8 @@ def _scalar_b(drift: DriftField) -> Callable:
     return lambda r: float(b(r))
 
 
-def _rhs_factory(nl: BistableNonlinearity, drift: DriftField, sigma: float, d: int) -> Callable:
-    two_over_sigma = 2.0 / sigma
+def _rhs_factory(nl: BistableNonlinearity, drift: DriftField, d: int) -> Callable:
+    two_over_sigma = 2.0 / drift.sigma
     f = _scalar_f(nl)
     b = _scalar_b(drift)
     dm1 = d - 1
@@ -150,9 +150,10 @@ def _rk4(rhs, r, p, v, h):
 _V_LIMIT = 1e3  # |p'| at which a shot counts as blown up
 
 
-def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
+def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
                  alpha: float, d: int, r_max: float, h: float) -> RadialTrajectory:
-    """Integrate the radial steady ODE outward from the center.
+    """Integrate the radial steady ODE outward from the center, with the
+    drift's own sigma.
 
     Stops at ``r_max``, when p leaves [-0.1, 1.1] or |p'| exceeds
     _V_LIMIT.  First crossings of theta, theta/2, 1 and 0 are located
@@ -163,9 +164,10 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField, sigma: float,
         raise InvalidInput(f"invalid-alpha: {alpha} not in (0,1)")
     if r_max <= 0.0 or h <= 0.0:
         raise InvalidInput("invalid-scalar: r_max and h must be positive")
+    sigma = drift.sigma
     h_max = min(h, 1e-3 * r_max if 1e-3 * r_max > 0 else h, sigma / 10.0)
     h_max = max(h_max, 1e-9)
-    rhs = _rhs_factory(nl, drift, sigma, d)
+    rhs = _rhs_factory(nl, drift, d)
     theta = nl.theta
     levels = {"r_theta": theta, "r_theta_half": theta / 2.0, "r_one": 1.0, "r_zero": 0.0}
     events: dict = {}
@@ -307,12 +309,6 @@ def _edges(nl, geometry, ops, alphas, feasible, target) -> list[float]:
     return list(np.where(f_lo, hi, lo))
 
 
-def _setup(drift: DriftField, R: float, d: int, n_grid: int):
-    """Geometry and grid operator of a barrier search."""
-    geometry = DomainGeometry.interval(R) if d == 1 else DomainGeometry.ball(R, d)
-    return geometry, assemble_operator(geometry, n_grid, drift)
-
-
 def _marched_barrier(nl, geometry, ops, alpha, bv) -> Optional[Barrier]:
     """Barrier seeded by the column marched from ``alpha``, extended by
     ``bv`` past its reach node, mirrored onto an interval grid and
@@ -335,8 +331,8 @@ def _marched_barrier(nl, geometry, ops, alpha, bv) -> Optional[Barrier]:
 
 
 def find_barrier_one(nl: BistableNonlinearity, drift: DriftField,
-                     R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
-    """Barrier with boundary value 1 on a domain of radius R, if any.
+                     geometry: DomainGeometry, n_grid: int = 801) -> Optional[Barrier]:
+    """Barrier with boundary value 1 on the n_grid-node grid of ``geometry``, if any.
 
     Scans the centre value alpha over (0, theta) with the discrete march
     and multisects every edge of the set of alphas whose column rises
@@ -344,7 +340,7 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField,
     Newton polish is admissible wins (a second, upper edge can exist).
     Returns None when no column reaches 1.
     """
-    geometry, ops = _setup(drift, R, d, n_grid)
+    ops = assemble_operator(geometry, n_grid, drift)
     # strong drifts push the feasibility edge to exponentially small
     # alpha (Gronwall: theta <= alpha e^{2 r^2/sigma + ...}); the scan
     # floor is the first infeasible one of 1e-7 * 1e-6^k, or 1e-91
@@ -369,8 +365,8 @@ def find_barrier_one(nl: BistableNonlinearity, drift: DriftField,
 
 
 def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
-                      R: float, d: int, n_grid: int = 801) -> Optional[Barrier]:
-    """Barrier with boundary value 0 on a domain of radius R, if any.
+                      geometry: DomainGeometry, n_grid: int = 801) -> Optional[Barrier]:
+    """Barrier with boundary value 0 on the n_grid-node grid of ``geometry``, if any.
 
     Scans the centre value alpha over (theta, 1) with the discrete march
     and multisects every edge of the set of alphas whose column falls
@@ -378,7 +374,7 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
     polishes (a band can have two edges) the one with the smallest
     residual is returned.  Returns None when no column reaches 0.
     """
-    geometry, ops = _setup(drift, R, d, n_grid)
+    ops = assemble_operator(geometry, n_grid, drift)
     alphas = np.linspace(nl.theta + 0.01, 1.0 - 1e-6, 64)
     reach = _march(nl, geometry, ops, alphas, 0.0)[0]
     candidates = [_marched_barrier(nl, geometry, ops, a, 0.0)

@@ -136,12 +136,11 @@ class _CnAb2:
         return solve_tridiagonal(self.factor, rhs)
 
 
-def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable,
-                      geometry: DomainGeometry, p0: GridProfile,
-                      u: float, T: float, dt: float,
-                      snapshot_every: int = 10) -> float:
+def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable, p0: GridProfile,
+                      u: float, T: float, dt: float, snapshot_every: int = 10) -> float:
     """Sup over snapshots of |script_N(p) - q| between the quasilinear
-    simulation of p and the transformed heat simulation of q.
+    simulation of p and the transformed heat simulation of q, both on the
+    grid of ``p0``.
 
     Both sides run the same second-order scheme with matching snapshot
     times; the quasilinear gradient-squared term and the reactions are
@@ -153,7 +152,7 @@ def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable,
     n = p0.n
     x = p0.x
     h = p0.h
-    stepper = _CnAb2(geometry, n, dt)
+    stepper = _CnAb2(p0.geometry, n, dt)
     n_steps = max(1, int(round(T / dt)))
 
     def n_ratio(p):

@@ -99,8 +99,9 @@ def test_criterion_1_figure_4_5_barriers(nl, monkeypatch):
         monkeypatch.setattr(steady, "shoot_radial", counting_shoot)
         monkeypatch.setattr(steady, "_march", counting_march)
         drift1 = DriftField.radial("gauss_out", s1)
-        b1 = find_barrier_one(nl, drift1, 2.5, 1)
-        b0 = find_barrier_zero(nl, DriftField.radial("gauss_out", s0), 2.5, 1)
+        g = DomainGeometry.interval(2.5)
+        b1 = find_barrier_one(nl, drift1, g)
+        b0 = find_barrier_zero(nl, DriftField.radial("gauss_out", s0), g)
         assert b1 is not None, f"no boundary-1 barrier at sigma={s1:g}, L=2.5"
         assert b0 is not None, f"no boundary-0 barrier at sigma={s0:g}, L=2.5"
         for b in (b1, b0):
@@ -108,7 +109,7 @@ def test_criterion_1_figure_4_5_barriers(nl, monkeypatch):
             assert b.deviation() > 0.1
         # phase trajectory, shot as the barriers experiment shoots it,
         # crosses both energy level sets
-        tr = steady.shoot_radial(nl, drift1, s1, b1.alpha, 1, 1.02 * 2.5, 1e-3)
+        tr = steady.shoot_radial(nl, drift1, b1.alpha, 1, 1.02 * 2.5, 1e-3)
         E = 0.5 * tr.v**2 + np.asarray(nl.F(tr.p))
         assert E[0] < 0.0 < float(nl.F(1.0)) < E[-1]
         assert sum(steps) <= _STEP_BUDGET, (
@@ -129,7 +130,7 @@ def test_criterion_2_figure_6_blocking(nl):
                                 T_max=150.0, dt=0.02)
         assert v0.status == "blocked", f"run to 0 {v0.status} at sigma={sigma:g}"
         assert v1.status == "blocked", f"run to 1 {v1.status} at sigma={sigma:g}"
-        witness = find_barrier_zero(nl, drift, 2.5, 1, n_grid=201)
+        witness = find_barrier_zero(nl, drift, g, n_grid=201)
         assert witness is not None, f"no barrier-to-0 witness at sigma={sigma:g}"
         assert np.min(v0.residual_profile.values - witness.profile.values) >= -1e-6
         assert time.monotonic() - t0 < 30.0
@@ -159,7 +160,7 @@ def test_criterion_4_certificate_barrier_sweep(nl):
         for L in np.linspace(0.5, 4.0, 20):
             g = DomainGeometry.interval(float(L))
             holds = uniqueness_certificate(nl, homog, g).holds
-            barrier = find_barrier_zero(nl, homog, float(L), 1, n_grid=401)
+            barrier = find_barrier_zero(nl, homog, g, n_grid=401)
             if holds:
                 crossover_lo.append(L)
             else:
@@ -199,7 +200,7 @@ def test_criterion_6_r_theta_monotone(nl):
         drift = DriftField.radial("gauss_out", 40.0)
         radii = []
         for a in (0.2, 0.1, 0.05, 0.025, 0.0125):
-            t = shoot_radial(nl, drift, 40.0, a, 1, 30.0, 1e-2)
+            t = shoot_radial(nl, drift, a, 1, 30.0, 1e-2)
             radii.append(t.events["r_theta"])
         assert all(r2 - r1 > 1e-6 for r1, r2 in zip(radii, radii[1:]))
         assert radii[-1] > radii[0] + 2.0  # grows without plateau in range
@@ -212,11 +213,11 @@ def test_criterion_7_energy_threshold(nl):
         sigma_star, status = negative_energy_sigma_threshold(nl, drift, g, 0.5)
         assert status == "bracketed" and 0.0 < sigma_star < math.inf
         eta = plateau_ramp_eta(0.5, g, 2049)
-        low = energy_sigma(nl, drift, sigma_star / 2, eta, g)
-        high = energy_sigma(nl, drift, 2 * sigma_star, eta, g)
+        low = energy_sigma(nl, drift, sigma_star / 2, eta)
+        high = energy_sigma(nl, drift, 2 * sigma_star, eta)
         assert low.value < 0.0 < high.value
         n = 513
-        prof, rep = minimize_energy_sigma(nl, drift, sigma_star / 2, g, n,
+        prof, rep = minimize_energy_sigma(nl, drift, sigma_star / 2,
                                           p_init=plateau_ramp_eta(0.5, g, n))
         assert rep.value < 0.0
         drift_eff = DriftField.radial("gauss_out", sigma_star / 2)
@@ -249,8 +250,7 @@ def test_criterion_9_gene_flow_equivalence(nl):
             x = g.grid(n)
             p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * THETA)
             discs.append(equivalence_check(nl, lambda p: 1.0 + np.asarray(p, dtype=float),
-                                           g, p0, 0.0, T=2.0, dt=dt,
-                                           snapshot_every=25))
+                                           p0, 0.0, T=2.0, dt=dt, snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5
 
@@ -259,8 +259,7 @@ def test_criterion_10_staircase_and_mintime_trends(nl):
     with criterion(10, "staircase success and min-time trends"):
         t0 = time.monotonic()
         g1 = DomainGeometry.interval(1.0)
-        res = staircase_to_theta(GridProfile(g1, np.ones(101)), nl,
-                                 DriftField.homogeneous(), g1,
+        res = staircase_to_theta(GridProfile(g1, np.ones(101)), nl, DriftField.homogeneous(),
                                  delta1=0.05, T1=20.0, T_max=200.0, dt=0.02)
         assert res.success
         assert res.control_min >= 0.0 and res.control_max <= 1.0
@@ -307,8 +306,7 @@ def test_criterion_11_invariant_suite(nl):
             assert np.max(vals) <= 1.0 + 1e-9
 
         # steady states are fixed points of the dynamics
-        b = find_barrier_zero(nl, DriftField.radial("gauss_out", 1.0), 2.5, 1,
-                              n_grid=121)
+        b = find_barrier_zero(nl, DriftField.radial("gauss_out", 1.0), g, n_grid=121)
         st = _Stepper(g, 121, DriftField.radial("gauss_out", 1.0), nl, 0.02)
         vals = b.profile.values
         for _ in range(50):
@@ -318,8 +316,7 @@ def test_criterion_11_invariant_suite(nl):
         # discrete phase-energy derivative law, second order
         defects = []
         for h in (4e-3, 2e-3):
-            t = shoot_radial(nl, DriftField.radial("gauss_out", 1.0), 40.0, 0.05, 1,
-                             4.0, h)
+            t = shoot_radial(nl, DriftField.radial("gauss_out", 40.0), 0.05, 1, 4.0, h)
             E = 0.5 * t.v**2 + np.asarray(nl.F(t.p))
             gg = (2.0 * t.r / 40.0) * t.v**2
             rhs = np.cumsum(0.5 * (gg[1:] + gg[:-1]) * np.diff(t.r))

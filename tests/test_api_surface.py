@@ -25,6 +25,12 @@ The package's only scipy import is ``scipy.linalg.lapack`` (the tridiagonal
 ``scipy.interpolate`` or ``scipy.special``.  The import scan reads every
 ``import`` and ``from ... import`` statement of ``src/rdcontrol`` at any
 nesting, function bodies included.
+
+A profile carries its geometry and its node count, so no public function
+or method takes a ``GridProfile`` parameter together with a
+``DomainGeometry`` parameter or a node count (``n``, ``n_grid``): a second
+copy of either can only disagree with the profile.  The grid scan reads
+parameter annotations and names.
 """
 
 from __future__ import annotations
@@ -221,3 +227,46 @@ def test_the_only_scipy_import_is_lapack():
     found = [f"{path.name}:{line} {module}" for path in sorted(PACKAGE.glob("*.py"))
              for line, module in _scipy_imports(path.read_text())]
     assert not found, f"scipy imports other than {ALLOWED_SCIPY}: {found}"
+
+
+GRID_COUNTS = ("n", "n_grid")
+
+
+def _mismatchable(source: str) -> list:
+    """Each public module-level function and public method of a public
+    class in ``source`` that takes a parameter annotated ``GridProfile``
+    together with one annotated ``DomainGeometry`` or named in GRID_COUNTS."""
+    def annotated(arg, name) -> bool:
+        return arg.annotation is not None and any(
+            isinstance(node, ast.Name) and node.id == name for node in ast.walk(arg.annotation))
+
+    tree = ast.parse(source)
+    defs = [(node, "") for node in filter(_public_def, tree.body)
+            if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in filter(_public_def, tree.body) if isinstance(node, ast.ClassDef)):
+        defs += [(node, f"{cls.name}.") for node in filter(_public_def, cls.body)
+                 if isinstance(node, ast.FunctionDef)]
+    found = []
+    for fn, owner in defs:
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if any(annotated(a, "GridProfile") for a in args) and any(
+                annotated(a, "DomainGeometry") or a.arg in GRID_COUNTS for a in args):
+            found.append(owner + fn.name)
+    return found
+
+
+def test_the_grid_scan_reads_annotations():
+    source = ("def a(p: GridProfile, g: DomainGeometry): pass\n"
+              "def b(p: Optional[GridProfile], *, n_grid=3): pass\n"
+              "def c(p: GridProfile, m: int): pass\n"
+              "def d(g: DomainGeometry, n: int): pass\n"
+              "def _e(p: GridProfile, n: int): pass\n"
+              "class K:\n    def f(self, p: GridProfile, n): pass\n"
+              "    def g(self, other: GridProfile): pass\n")
+    assert _mismatchable(source) == ["a", "b", "K.f"]
+
+
+def test_no_function_takes_a_profile_and_its_grid():
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _mismatchable(path.read_text())]
+    assert not found, f"functions that take a GridProfile and a geometry or node count: {found}"

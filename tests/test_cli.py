@@ -518,6 +518,20 @@ class TestInitialProfile:
         assert self._simulate(tmp_path, {"kind": "barrier-seeded", "boundary": 0}) == 0
         assert json.loads((tmp_path / "o" / "verdict.json").read_text())["0"]["status"] == "blocked"
 
+    def test_barrier_seeded_on_a_d1_ball_keeps_the_scenario_grid(self, tmp_path):
+        # a d = 1 ball is [0, R]: the seed is searched on that grid, not on (-R, R)
+        raw = {"preset": "fig6_strong", "targets": [0], "T": 5.0, "n": 101,
+               "domain": {"kind": "ball", "R": 2.5, "d": 1},
+               "p0": {"kind": "barrier-seeded", "boundary": 0}}
+        sc = load_scenario(raw)
+        p0 = sc.initial_profile()
+        assert (p0.geometry, p0.n) == (sc.geometry, sc.n)
+        assert main(["simulate", "--scenario", _write_scenario(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 0
+        x = np.loadtxt(tmp_path / "o" / "simulate_to_0.csv", delimiter=",", skiprows=2)[:, 1]
+        assert (x.min(), x.max()) == (0.0, 2.5)
+        assert json.loads((tmp_path / "o" / "verdict.json").read_text())["0"]["status"] == "blocked"
+
     def test_const_outside_unit_interval_exit_2(self, tmp_path, capsys):
         assert self._simulate(tmp_path, {"kind": "const", "value": 1.5}) == 2
         assert "proportion outside [0,1]" in capsys.readouterr().err

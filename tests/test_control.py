@@ -18,8 +18,7 @@ from rdcontrol.steady import build_steady_path
 class TestStaircase:
     def test_homogeneous_small_interval_from_one(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.ones(101))
-        res = staircase_to_theta(p0, nl033, homog, interval_1, delta1=0.05,
-                                 T1=20.0, T_max=200.0, dt=0.02)
+        res = staircase_to_theta(p0, nl033, homog, delta1=0.05, T1=20.0, T_max=200.0, dt=0.02)
         assert res.success
         assert res.terminal_error <= 0.05
         assert 0.0 <= res.control_min and res.control_max <= 1.0
@@ -27,8 +26,7 @@ class TestStaircase:
 
     def test_already_at_target(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.full(101, 0.33))
-        res = staircase_to_theta(p0, nl033, homog, interval_1, delta1=0.05,
-                                 T1=10.0, T_max=100.0, dt=0.02)
+        res = staircase_to_theta(p0, nl033, homog, delta1=0.05, T1=10.0, T_max=100.0, dt=0.02)
         assert res.success
         # step 1 must still run (state is far from 0), so only assert success
         assert res.terminal_error <= 0.05
@@ -37,8 +35,7 @@ class TestStaircase:
         drift = DriftField.radial("gauss_out", 1.0)
         g = DomainGeometry.interval(2.5)
         p0 = GridProfile(g, np.ones(201))
-        res = staircase_to_theta(p0, nl033, drift, g, delta1=0.05, T1=10.0,
-                                 T_max=120.0, dt=0.02)
+        res = staircase_to_theta(p0, nl033, drift, delta1=0.05, T1=10.0, T_max=120.0, dt=0.02)
         assert not res.success
         assert res.stage == "step1"
         assert res.reason == "barrier-to-0"
@@ -49,17 +46,17 @@ class TestStaircase:
         sc = load_scenario({"preset": "fig6_strong"})
         with pytest.raises(SolverFailure, match="horizon-too-short"):
             staircase_to_theta(GridProfile(sc.geometry, np.ones(sc.n)), sc.nl, sc.drift,
-                               sc.geometry, T_max=2.0, dt=sc.dt)
+                               T_max=2.0, dt=sc.dt)
 
     def test_leg_success_step_does_not_depend_on_budget(self, nl033, homog, interval_1):
         # the sup-error is checked after every step, so a leg that succeeds
         # under a long budget succeeds at the same step under any budget
         # that reaches that step
         p0 = GridProfile(interval_1, np.zeros(101))
-        long = staircase_to_theta(p0, nl033, homog, interval_1, T1=20.0, T_max=400.0)
+        long = staircase_to_theta(p0, nl033, homog, T1=20.0, T_max=400.0)
         assert long.success
         tight = max(leg.steps for leg in long.legs) * 0.02
-        short = staircase_to_theta(p0, nl033, homog, interval_1, T1=tight, T_max=400.0)
+        short = staircase_to_theta(p0, nl033, homog, T1=tight, T_max=400.0)
         assert short.success
         assert [leg.steps for leg in short.legs] == [leg.steps for leg in long.legs]
         assert short.total_time == long.total_time
@@ -69,8 +66,8 @@ class TestStaircase:
 
     def test_controls_always_admissible(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.ones(101))
-        res = staircase_to_theta(p0, nl033, homog, interval_1, delta1=0.05,
-                                 T1=20.0, T_max=200.0, dt=0.02, gain=3.0)
+        res = staircase_to_theta(p0, nl033, homog, delta1=0.05, T1=20.0, T_max=200.0, dt=0.02,
+                                 gain=3.0)
         # even with an aggressive gain the clamp keeps controls in range
         assert res.control_min >= 0.0 and res.control_max <= 1.0
 
@@ -94,6 +91,15 @@ class TestReport:
         assert tv.time == pytest.approx(4.54, abs=1e-9)
         assert tv.detail.legs
         assert all(leg.sup_error <= 0.05 / 2.0 for leg in tv.detail.legs)
+
+    def test_d1_ball_witnesses_live_on_the_ball(self, nl033):
+        # a d = 1 ball is [0, R]: its witnesses are searched on that grid
+        g = DomainGeometry.ball(2.5, 1)
+        rep = controllability_report(nl033, DriftField.radial("gauss_out", 1.0), g, n=61,
+                                     dt=0.05, T_max=60.0)
+        for tv in rep.values():
+            assert tv.status == "blocked"
+            assert (tv.witness.profile.geometry, tv.witness.profile.n) == (g, 61)
 
     def test_double_blocking_regime(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
@@ -170,8 +176,8 @@ class TestMinTime:
         zeros = GridProfile(g, np.zeros(101))
         direct = []
         for T in grid:
-            res = staircase_to_theta(zeros, nl033, drift, g, delta1=0.05, T1=T / n_legs,
-                                     T_max=T, dt=0.02, path=path)
+            res = staircase_to_theta(zeros, nl033, drift, delta1=0.05, T1=T / n_legs, T_max=T,
+                                     dt=0.02, path=path)
             direct.append(bool(res.success and res.total_time <= T + 1e-9))
         assert direct == sorted(direct)  # direct feasibility is monotone in T
         assert 0 < direct.index(True)    # the grid brackets the minimal time

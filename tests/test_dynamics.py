@@ -34,7 +34,7 @@ class TestStep:
 
     def test_barrier_is_fixed_point(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
-        b = find_barrier_zero(nl033, drift, 2.5, 1, n_grid=201)
+        b = find_barrier_zero(nl033, drift, DomainGeometry.interval(2.5), n_grid=201)
         st = _Stepper(b.profile.geometry, b.profile.n, drift, nl033, 0.02)
         vals = hold(st, b.profile.values, 0.0, 50)
         # sup-change per unit time far below 1e-6
@@ -138,7 +138,7 @@ class TestStepProperties:
         nl = BistableNonlinearity.cubic(theta)
         drift = DriftField.radial("gauss_out", sigma)
         finder = find_barrier_one if boundary else find_barrier_zero
-        b = finder(nl, drift, L, 1, n_grid=n)
+        b = finder(nl, drift, DomainGeometry.interval(L), n_grid=n)
         if b is None:
             return
         stepper = _Stepper(b.profile.geometry, n, drift, nl, 0.02)
@@ -212,7 +212,7 @@ class TestVerdicts:
     def test_blocked_with_barrier(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
         g = DomainGeometry.interval(2.5)
-        b = find_barrier_zero(nl033, drift, 2.5, 1, n_grid=201)
+        b = find_barrier_zero(nl033, drift, g, n_grid=201)
         v = asymptotic_verdict(GridProfile(g, np.ones(201)), nl033, drift, 0.0,
                                T_max=80.0, dt=0.02)
         assert v.status == "blocked"
@@ -223,7 +223,7 @@ class TestVerdicts:
     def test_blocked_to_one(self, nl033):
         drift = DriftField.radial("gauss_out", 1.0)
         g = DomainGeometry.interval(2.5)
-        b = find_barrier_one(nl033, drift, 2.5, 1, n_grid=201)
+        b = find_barrier_one(nl033, drift, g, n_grid=201)
         v = asymptotic_verdict(GridProfile(g, np.zeros(201)), nl033, drift, 1.0,
                                T_max=80.0, dt=0.02)
         assert v.status == "blocked"

@@ -66,7 +66,7 @@ class TestBitIdentity:
         assert_steps_match_banded(ball, 121, gauss_out, nl033, 0.02, 0.0, 0.4)
 
     def test_newton_jacobian(self, nl033, gauss_out, interval_25):
-        p = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=201).profile.values
+        p = find_barrier_zero(nl033, gauss_out, interval_25, n_grid=201).profile.values
         lower, diag, upper = assemble_operator(interval_25, p.size, gauss_out)
         jd = diag + nl033.fprime(p)
         jd[0] = jd[-1] = 1.0

@@ -38,13 +38,12 @@ class TestTestFunctions:
 class TestEnergySigma:
     def test_zero_profile(self, nl033, interval_25):
         z = GridProfile(interval_25, np.zeros(401))
-        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 1.0, z, interval_25)
+        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 1.0, z)
         assert rep.value == 0.0
 
     def test_report_identity(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 801)
-        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 0.05,
-                           eta, interval_25)
+        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 0.05, eta)
         assert rep.value == pytest.approx(rep.gradient_part - rep.potential_part, abs=1e-12)
 
     def test_small_sigma_negative(self, nl033, interval_25):
@@ -52,34 +51,34 @@ class TestEnergySigma:
         # exponentially small gradient term
         eta = plateau_ramp_eta(0.5, interval_25, 2049)
         drift = DriftField.radial("gauss_out", 1.0)  # N = e^{-x^2/2}
-        r1 = energy_sigma(nl033, drift, 0.05, eta, interval_25)
+        r1 = energy_sigma(nl033, drift, 0.05, eta)
         assert r1.value < 0.0
         # two grid resolutions agree
         eta2 = plateau_ramp_eta(0.5, interval_25, 4097)
-        r2 = energy_sigma(nl033, drift, 0.05, eta2, interval_25)
+        r2 = energy_sigma(nl033, drift, 0.05, eta2)
         assert r1.value == pytest.approx(r2.value, rel=1e-4)
 
     def test_large_sigma_matches_homogeneous_sign(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 2049)
         drift = DriftField.radial("gauss_out", 1.0)
-        rep = energy_sigma(nl033, drift, 1e4, eta, interval_25)
-        homog = energy_sigma(nl033, DriftField.homogeneous(), 1.0, eta, interval_25)
+        rep = energy_sigma(nl033, drift, 1e4, eta)
+        homog = energy_sigma(nl033, DriftField.homogeneous(), 1.0, eta)
         assert rep.value > 0.0 and homog.value > 0.0
         assert rep.value == pytest.approx(homog.value, rel=2e-3)
 
     def test_gradient_part_quadratic_scaling(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 801)
         drift = DriftField.radial("gauss_out", 1.0)
-        base = energy_sigma(nl033, drift, 0.2, eta, interval_25)
+        base = energy_sigma(nl033, drift, 0.2, eta)
         for lam in (0.5, 2.0):
             scaled = GridProfile(interval_25, lam * eta.values)
-            rep = energy_sigma(nl033, drift, 0.2, scaled, interval_25)
+            rep = energy_sigma(nl033, drift, 0.2, scaled)
             assert rep.gradient_part == pytest.approx(lam**2 * base.gradient_part, rel=1e-12)
 
     def test_bc_violation(self, nl033, interval_25):
         bad = GridProfile(interval_25, np.full(101, 0.5))
         with pytest.raises(InvalidInput, match="bc-violation"):
-            energy_sigma(nl033, DriftField.homogeneous(), 1.0, bad, interval_25)
+            energy_sigma(nl033, DriftField.homogeneous(), 1.0, bad)
 
 
 class TestThreshold:
@@ -89,8 +88,8 @@ class TestThreshold:
         assert status == "bracketed"
         assert 0.0 < sigma_star < 1.0
         eta = plateau_ramp_eta(0.5, interval_25, 2049)
-        below = energy_sigma(nl033, drift, sigma_star / 2, eta, interval_25)
-        above = energy_sigma(nl033, drift, 2 * sigma_star, eta, interval_25)
+        below = energy_sigma(nl033, drift, sigma_star / 2, eta)
+        above = energy_sigma(nl033, drift, 2 * sigma_star, eta)
         assert below.value < 0.0 < above.value
 
     def test_theta_dependence(self, interval_25):
@@ -150,8 +149,8 @@ class TestMinimizer:
         sigma = sigma_star / 2
         n = 513
         eta = plateau_ramp_eta(0.5, interval_25, n)
-        e_eta = energy_sigma(nl033, drift, sigma, eta, interval_25).value
-        prof, rep = minimize_energy_sigma(nl033, drift, sigma, interval_25, n, p_init=eta)
+        e_eta = energy_sigma(nl033, drift, sigma, eta).value
+        prof, rep = minimize_energy_sigma(nl033, drift, sigma, p_init=eta)
         assert rep.value <= e_eta
         assert rep.value < 0.0
         assert np.min(prof.values) >= 0.0 and np.max(prof.values) <= 1.0
@@ -175,6 +174,5 @@ class TestMinimizer:
             return (0.5 * np.sum(mw_mid * (np.diff(q) / h) ** 2) * h
                     - np.sum(mw * np.asarray(nl033.F_zero(q))) * h)
 
-        prof, _ = minimize_energy_sigma(nl033, drift, sigma, interval_25, n,
-                                        p_init=eta, max_iter=600)
+        prof, _ = minimize_energy_sigma(nl033, drift, sigma, p_init=eta, max_iter=600)
         assert energy(prof.values) <= energy(np.clip(eta.values, 0.0, 1.0)) + 1e-15

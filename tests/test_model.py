@@ -140,6 +140,13 @@ class TestGeometryProfiles:
         assert DomainGeometry.interval(2.5).inradius() == 2.5
         assert DomainGeometry.ball(3.0, 2).inradius() == 3.0
 
+    def test_dimension_of_every_geometry(self):
+        assert DomainGeometry.interval(2.5).d == 1
+        with pytest.raises(InvalidInput, match="invalid-geometry: an interval has dimension 1"):
+            DomainGeometry("interval", 2.5, 3)
+        with pytest.raises(InvalidInput, match="invalid-geometry: dimension"):
+            DomainGeometry.ball(2.5, 0)
+
     def test_grid_spacing(self):
         g = DomainGeometry.interval(1.0)
         x = g.grid(101)

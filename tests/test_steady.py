@@ -16,25 +16,27 @@ from rdcontrol.steady import (
 )
 
 SIGMA_STRONG = 1.0  # drift strong enough for barriers on L = 2.5 (see below)
+INTERVAL = DomainGeometry.interval(2.5)
+GAUSS_OUT_40 = DriftField.radial("gauss_out", 40.0)  # the published sigma
 
 
 class TestShooting:
-    def test_equilibrium_alpha_theta(self, nl033, gauss_out):
-        t = shoot_radial(nl033, gauss_out, 40.0, 0.33, 1, 5.0, 1e-3)
+    def test_equilibrium_alpha_theta(self, nl033):
+        t = shoot_radial(nl033, GAUSS_OUT_40, 0.33, 1, 5.0, 1e-3)
         assert np.max(np.abs(t.p - 0.33)) < 1e-12
         assert np.max(np.abs(t.v)) < 1e-12
         assert t.events == {}
 
-    def test_initial_conditions(self, nl033, gauss_out):
-        t = shoot_radial(nl033, gauss_out, 40.0, 0.05, 1, 8.0, 1e-3)
+    def test_initial_conditions(self, nl033):
+        t = shoot_radial(nl033, GAUSS_OUT_40, 0.05, 1, 8.0, 1e-3)
         assert t.p[0] == 0.05 and t.v[0] == 0.0
         assert np.all(np.diff(t.r) > 0)
 
-    def test_against_fixed_step_rk4_oracle(self, nl033, gauss_out):
+    def test_against_fixed_step_rk4_oracle(self, nl033):
         # independent fixed-step RK4 at h = 1e-4, matching start from the
         # same second-order Taylor point
         sigma, alpha = 40.0, 0.05
-        t = shoot_radial(nl033, gauss_out, sigma, alpha, 1, 4.0, 1e-3)
+        t = shoot_radial(nl033, DriftField.radial("gauss_out", sigma), alpha, 1, 4.0, 1e-3)
 
         def rhs(r, y):
             p, v = y
@@ -47,34 +49,34 @@ class TestShooting:
         p_pkg = np.interp(ts, t.r, t.p)
         assert np.max(np.abs(p_pkg - ys[:, 0])) < 1e-6
 
-    def test_crossing_monotone_before_theta(self, nl033, gauss_out):
+    def test_crossing_monotone_before_theta(self, nl033):
         # Claim NCL1: p increasing and within (alpha, theta) up to r_theta
-        t = shoot_radial(nl033, gauss_out, 40.0, 0.05, 1, 10.0, 1e-3)
+        t = shoot_radial(nl033, GAUSS_OUT_40, 0.05, 1, 10.0, 1e-3)
         r_theta = t.events["r_theta"]
         assert r_theta is not None and np.isfinite(r_theta)
         mask = t.r <= r_theta
         assert np.min(t.v[mask]) >= -1e-10
         assert abs(np.interp(r_theta, t.r, t.p) - 0.33) < 1e-8
 
-    def test_r_theta_increasing_as_alpha_shrinks(self, nl033, gauss_out):
+    def test_r_theta_increasing_as_alpha_shrinks(self, nl033):
         # Claim NCL2 along the probed alpha sequence
         radii = []
         for a in (0.2, 0.1, 0.05, 0.025):
-            t = shoot_radial(nl033, gauss_out, 40.0, a, 1, 30.0, 1e-2)
+            t = shoot_radial(nl033, GAUSS_OUT_40, a, 1, 30.0, 1e-2)
             radii.append(t.events["r_theta"])
         assert all(r2 - r1 > 1e-6 for r1, r2 in zip(radii, radii[1:]))
 
-    def test_step_halving_agreement(self, nl033, gauss_out):
-        r1 = shoot_radial(nl033, gauss_out, 40.0, 0.05, 1, 10.0, 2e-3).events["r_theta"]
-        r2 = shoot_radial(nl033, gauss_out, 40.0, 0.05, 1, 10.0, 1e-3).events["r_theta"]
+    def test_step_halving_agreement(self, nl033):
+        r1 = shoot_radial(nl033, GAUSS_OUT_40, 0.05, 1, 10.0, 2e-3).events["r_theta"]
+        r2 = shoot_radial(nl033, GAUSS_OUT_40, 0.05, 1, 10.0, 1e-3).events["r_theta"]
         assert abs(r1 - r2) < 1e-4
 
-    def test_phase_energy_discrete_derivative_law(self, nl033, gauss_out):
+    def test_phase_energy_discrete_derivative_law(self, nl033):
         # dE/dr = (2r/sigma - (d-1)/r) v^2 along the trajectory, order 2
         sigma = 40.0
         defects = []
         for h in (4e-3, 2e-3):  # the precondition caps h at 1e-3 * r_max
-            t = shoot_radial(nl033, gauss_out, sigma, 0.05, 1, 4.0, h)
+            t = shoot_radial(nl033, DriftField.radial("gauss_out", sigma), 0.05, 1, 4.0, h)
             energy = 0.5 * t.v**2 + np.asarray(nl033.F(t.p))
             g = (2.0 * t.r / sigma) * t.v**2
             rhs = np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t.r))
@@ -83,28 +85,29 @@ class TestShooting:
         assert defects[1] < 1e-8
         assert defects[0] / defects[1] > 2.5  # ~4 for an order-2 law
 
-    def test_velocity_lower_bound_at_theta(self, nl033, gauss_out):
+    def test_velocity_lower_bound_at_theta(self, nl033):
         # E(r_theta) >= F(theta/2) gives v(r_theta) >= sqrt(2(F(th/2)-F(th)))
         m_lower = math.sqrt(2.0 * (F_quad(0.33, 0.165) - F_quad(0.33, 0.33)))
         assert m_lower == pytest.approx(0.0681, abs=2e-4)  # quadrature oracle
         for alpha in (0.05, 0.02):
-            t = shoot_radial(nl033, gauss_out, 40.0, alpha, 1, 12.0, 1e-3)
+            t = shoot_radial(nl033, GAUSS_OUT_40, alpha, 1, 12.0, 1e-3)
             assert t.events.get("r_theta_half") is not None
             v_at = np.interp(t.events["r_theta"], t.r, t.v)
             assert v_at > m_lower
 
-    def test_comparison_in_alpha(self, nl033, gauss_out):
+    def test_comparison_in_alpha(self, nl033):
         # ordered starts stay ordered through the sub-threshold band,
         # i.e. up to the first crossing of theta.  (Past theta the (r, p)
         # graphs can genuinely cross -- counterexamples at sigma = 40 --
         # so the blanket up-to-1 ordering is tested only where it holds.)
+        drift = DriftField.radial("gauss_out", 2.0)
         rng = np.random.default_rng(3)
         for _ in range(50):
             a1, a2 = np.sort(rng.uniform(0.01, 0.32, 2))
             if a2 - a1 < 1e-3:
                 a2 = a1 + 1e-3
-            t1 = shoot_radial(nl033, gauss_out, 2.0, float(a1), 1, 6.0, 1e-3)
-            t2 = shoot_radial(nl033, gauss_out, 2.0, float(a2), 1, 6.0, 1e-3)
+            t1 = shoot_radial(nl033, drift, float(a1), 1, 6.0, 1e-3)
+            t2 = shoot_radial(nl033, drift, float(a2), 1, 6.0, 1e-3)
             r_stop = min(t1.events.get("r_theta", np.inf), t2.events.get("r_theta", np.inf),
                          t1.r[-1], t2.r[-1])
             grid = np.linspace(0.0, r_stop * 0.999, 200)
@@ -115,7 +118,7 @@ class TestShooting:
 
 class TestBarriers:
     def test_strong_drift_barrier_one(self, nl033, gauss_out):
-        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
+        b = find_barrier_one(nl033, gauss_out, INTERVAL)
         assert b is not None
         assert b.residual < 1e-6
         assert b.deviation() > 0.1
@@ -126,7 +129,7 @@ class TestBarriers:
         assert b.p_min < nl033.theta  # the dip crosses the Allee threshold
 
     def test_strong_drift_barrier_zero(self, nl033, gauss_out):
-        b = find_barrier_zero(nl033, gauss_out, 2.5, 1)
+        b = find_barrier_zero(nl033, gauss_out, INTERVAL)
         assert b is not None
         assert b.residual < 1e-6
         assert b.deviation() > 0.1
@@ -137,7 +140,7 @@ class TestBarriers:
         # independent verification on a twice finer grid stays a solution
         from rdcontrol.elliptic import newton_steady
 
-        b = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=401)
+        b = find_barrier_zero(nl033, gauss_out, INTERVAL, n_grid=401)
         geom = b.profile.geometry
         drift_eff = DriftField.radial("gauss_out", SIGMA_STRONG)
         x_fine = geom.grid(801)
@@ -157,25 +160,25 @@ class TestBarriers:
         w_ratio = math.exp(-2.5**2 / 40.0)
         assert w_ratio * 0.3948 > ((1 - 0.33) / 2) ** 2
         weak = DriftField.radial("gauss_out", 40.0)
-        assert find_barrier_one(nl033, weak, 2.5, 1) is None
-        assert find_barrier_zero(nl033, weak, 2.5, 1) is None
+        assert find_barrier_one(nl033, weak, INTERVAL) is None
+        assert find_barrier_zero(nl033, weak, INTERVAL) is None
 
     def test_homogeneous_no_barrier_one_ever(self, nl033, homog):
         # conserved phase energy makes reaching 1 from below impossible
         for L in (1.0, 2.5, 6.0):
-            assert find_barrier_one(nl033, homog, L, 1) is None
+            assert find_barrier_one(nl033, homog, DomainGeometry.interval(L)) is None
 
     def test_homogeneous_zero_threshold_matches_time_map(self, nl033, homog):
         # the exact nonexistence threshold is the minimal phase-plane
         # half-length L_c = min_alpha T(alpha): 5.18 for theta = 0.33
         L_c = homogeneous_critical_length(0.33)
         assert 4.69 < L_c < 5.8  # necessary eigenvalue bound pi/(2 sqrt(0.1122))
-        assert find_barrier_zero(nl033, homog, 0.9 * L_c, 1) is None
-        b = find_barrier_zero(nl033, homog, 1.1 * L_c, 1)
+        assert find_barrier_zero(nl033, homog, DomainGeometry.interval(0.9 * L_c)) is None
+        b = find_barrier_zero(nl033, homog, DomainGeometry.interval(1.1 * L_c))
         assert b is not None and b.residual < 1e-6
 
     def test_homogeneous_small_interval_certificate_region(self, nl033, homog):
-        assert find_barrier_zero(nl033, homog, 1.0, 1) is None
+        assert find_barrier_zero(nl033, homog, DomainGeometry.interval(1.0)) is None
 
 
 class TestDiscreteSearch:
@@ -184,7 +187,7 @@ class TestDiscreteSearch:
     replaced, measured on the same grids."""
 
     def test_even_grid_mirrors_the_two_middle_nodes(self, nl033, gauss_out):
-        b = find_barrier_one(nl033, gauss_out, 2.5, 1, n_grid=800)
+        b = find_barrier_one(nl033, gauss_out, INTERVAL, n_grid=800)
         assert b is not None and b.residual < 1e-9
         assert b.p_min == pytest.approx(0.0298003725, abs=1e-6)
         vals = b.profile.values
@@ -192,17 +195,27 @@ class TestDiscreteSearch:
         assert vals[400] == pytest.approx(b.p_min, abs=1e-12)
 
     def test_ball_origin_row(self, nl033, gauss_out):
-        b = find_barrier_zero(nl033, gauss_out, 2.5, 3, n_grid=401)
+        b = find_barrier_zero(nl033, gauss_out, DomainGeometry.ball(2.5, 3), n_grid=401)
         assert b is not None and b.residual < 1e-9
         assert b.p_max == pytest.approx(0.5988602857, abs=1e-6)
         assert b.profile.values[0] == b.p_max
-        assert find_barrier_one(nl033, gauss_out, 2.5, 2) is None
+        assert find_barrier_one(nl033, gauss_out, DomainGeometry.ball(2.5, 2)) is None
+
+    @pytest.mark.parametrize("finder", [find_barrier_zero, find_barrier_one])
+    def test_d1_ball_is_the_half_interval(self, nl033, gauss_out, finder):
+        # a d = 1 ball is [0, R]: searched on its own grid, its barrier is the
+        # right half of the interval barrier at equal spacing
+        ball = DomainGeometry.ball(2.5, 1)
+        b = finder(nl033, gauss_out, ball, n_grid=401)
+        ref = finder(nl033, gauss_out, INTERVAL, n_grid=801)
+        assert (b.profile.geometry, b.profile.n) == (ball, 401)
+        assert np.max(np.abs(b.profile.values - ref.profile.values[400:])) <= 1e-12
 
     def test_edge_far_below_the_scan_floor(self, nl033):
         # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25, so
         # the profile's centre clips to ~0 (the barriers experiment shoots
         # its trajectory from alpha, see tests/test_cli.py)
-        b = find_barrier_one(nl033, DriftField.radial("gauss_out", 0.1), 2.5, 1, n_grid=401)
+        b = find_barrier_one(nl033, DriftField.radial("gauss_out", 0.1), INTERVAL, n_grid=401)
         assert b is not None and b.residual < 1e-9
         assert 0.0 < b.alpha < 1e-20
         assert b.p_min == pytest.approx(0.0, abs=1e-6)
@@ -212,13 +225,13 @@ class TestDiscreteSearch:
         # also polishes into a barrier; the search keeps the lower edge
         from rdcontrol import steady
 
-        geometry, ops = steady._setup(gauss_out, 2.5, 1, 801)
+        geometry, ops = INTERVAL, assemble_operator(INTERVAL, 801, gauss_out)
         alphas = np.geomspace(1e-7, 0.33 * (1.0 - 1e-9), 48)
         reach = steady._march(nl033, geometry, ops, alphas, 1.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < 801, 1.0)
         assert upper == pytest.approx(0.2925, abs=1e-4)
         assert steady._marched_barrier(nl033, geometry, ops, upper, 1.0) is not None
-        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
+        b = find_barrier_one(nl033, gauss_out, INTERVAL)
         assert b.alpha == lower
         assert b.p_min == pytest.approx(0.0298003422, abs=1e-6)
 
@@ -233,7 +246,7 @@ class TestDiscreteSearch:
         from rdcontrol.elliptic import newton_steady
         from rdcontrol.energy import minimize_energy_sigma, plateau_ramp_eta
 
-        geometry, ops = steady._setup(gauss_out, 2.5, 1, n)
+        geometry, ops = INTERVAL, assemble_operator(INTERVAL, n, gauss_out)
         alphas = np.linspace(0.33 + 0.01, 1.0 - 1e-6, 64)
         reach = steady._march(nl033, geometry, ops, alphas, 0.0)[0]
         lower, upper = steady._edges(nl033, geometry, ops, alphas, reach < n, 0.0)
@@ -241,12 +254,12 @@ class TestDiscreteSearch:
         marched = steady._marched_barrier(nl033, geometry, ops, upper, 0.0)
 
         eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
-        prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, geometry, n,
-                                        p_init=eta, max_iter=4000)
+        prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, p_init=eta,
+                                        max_iter=4000)
         vals, _ = newton_steady(geometry, ops, nl033, prof.values, 0.0)
         assert np.max(np.abs(vals - marched.profile.values)) <= 1e-9
 
-        b = find_barrier_zero(nl033, gauss_out, 2.5, 1, n_grid=n)
+        b = find_barrier_zero(nl033, gauss_out, INTERVAL, n_grid=n)
         assert b.alpha == lower
         if n == 801:
             assert b.p_max == pytest.approx(0.3469595158, abs=1e-9)
@@ -262,7 +275,7 @@ class TestDiscreteSearch:
             return newton(geometry, ops, nl, seed, *args, **kwargs)
 
         monkeypatch.setattr(steady, "newton_steady", spy)
-        b = find_barrier_one(nl033, gauss_out, 2.5, 1)
+        b = find_barrier_one(nl033, gauss_out, INTERVAL)
         assert b is not None
         assert seed_residuals[0] <= 1e-9
 
@@ -272,9 +285,9 @@ class TestDiscreteSearch:
         drift = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         for finder in (find_barrier_one, find_barrier_zero):
             with pytest.raises(InvalidInput, match="transform-check"):
-                finder(nl033, drift, 1.0, 1)
+                finder(nl033, drift, DomainGeometry.interval(1.0))
         with pytest.raises(InvalidInput, match="transform-check"):
-            shoot_radial(nl033, drift, 1.0, 0.5, 1, 1.0, 1e-3)
+            shoot_radial(nl033, drift, 0.5, 1, 1.0, 1e-3)
 
 
 class TestBarrierProperties:
@@ -284,7 +297,7 @@ class TestBarrierProperties:
         nl = BistableNonlinearity.cubic(theta)
         drift = DriftField.radial("gauss_out", sigma)
         for finder in (find_barrier_zero, find_barrier_one):
-            b = finder(nl, drift, 2.5, 1, n_grid=n)
+            b = finder(nl, drift, INTERVAL, n_grid=n)
             if b is None:
                 continue
             ops = assemble_operator(b.profile.geometry, n, drift)
@@ -340,7 +353,7 @@ class TestSteadyPath:
         member = path.profiles[list(path.s_values).index(0.5)]
         half = member.values[200:]
         assert half[0] == 0.5 * 0.33
-        traj = shoot_radial(nl033, homog, 1e9, half[0], 1, 2.0, 1e-3)
+        traj = shoot_radial(nl033, homog, half[0], 1, 2.0, 1e-3)
         assert np.max(np.abs(half - np.interp(member.x[200:], traj.r, traj.p))) < 1e-6
 
     def test_fine_grid_path_polishes_at_the_roundoff_floor(self, nl033, homog):
@@ -354,7 +367,7 @@ class TestSteadyPath:
 
 
 def test_barrier_residual_cited_in_steady_residual(nl033, gauss_out):
-    b = find_barrier_one(nl033, gauss_out, 2.5, 1)
+    b = find_barrier_one(nl033, gauss_out, INTERVAL)
     geom = b.profile.geometry
     ops = assemble_operator(geom, b.profile.n, DriftField.radial("gauss_out", SIGMA_STRONG))
     assert steady_residual(geom, ops, nl033, b.profile.values) < 1e-6
@@ -368,7 +381,7 @@ def test_certificate_soundness_sweep(nl033, homog):
     for L in np.linspace(0.5, 4.0, 20):
         g = DomainGeometry.interval(float(L))
         if uniqueness_certificate(nl033, homog, g).holds:
-            assert find_barrier_zero(nl033, homog, float(L), 1, n_grid=201) is None
+            assert find_barrier_zero(nl033, homog, g, n_grid=201) is None
 
 
 class TestErrorContracts:
@@ -384,7 +397,7 @@ class TestErrorContracts:
         from rdcontrol.errors import InvalidInput
 
         with pytest.raises(InvalidInput, match="invalid-alpha"):
-            shoot_radial(nl033, gauss_out, 1.0, 1.5, 1, 2.0, 1e-3)
+            shoot_radial(nl033, gauss_out, 1.5, 1, 2.0, 1e-3)
 
     def test_bad_path_parameters(self, nl033, homog, interval_1):
         from rdcontrol.errors import InvalidInput

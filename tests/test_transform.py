@@ -100,7 +100,7 @@ class TestEquivalence:
         x = g.grid(101)
         p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
         d = equivalence_check(nl033, lambda p: np.ones_like(np.asarray(p, dtype=float)),
-                              g, p0, 0.0, T=1.0, dt=0.002)
+                              p0, 0.0, T=1.0, dt=0.002)
         assert d < 1e-9
 
     def test_constant_state_conjugation(self, nl033):
@@ -110,10 +110,10 @@ class TestEquivalence:
         g = DomainGeometry.interval(1.0)
         for c in (0.0, 0.33, 1.0):
             p0 = GridProfile(g, np.full(101, c))
-            d = equivalence_check(nl033, N_affine, g, p0, c, T=0.5, dt=0.002)
+            d = equivalence_check(nl033, N_affine, p0, c, T=0.5, dt=0.002)
             assert d < 1e-12
         p0 = GridProfile(g, np.full(101, 0.6))
-        d = equivalence_check(nl033, N_affine, g, p0, 0.6, T=0.5, dt=0.002)
+        d = equivalence_check(nl033, N_affine, p0, 0.6, T=0.5, dt=0.002)
         assert d < 1e-6
 
     def test_refinement_factor_near_four(self, nl033):
@@ -124,8 +124,8 @@ class TestEquivalence:
             dt = 0.004 / 2**lev
             x = g.grid(n)
             p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
-            discs.append(equivalence_check(nl033, N_affine, g, p0, 0.0,
-                                           T=2.0, dt=dt, snapshot_every=25))
+            discs.append(equivalence_check(nl033, N_affine, p0, 0.0, T=2.0, dt=dt,
+                                           snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5
 
@@ -136,7 +136,7 @@ class TestEquivalence:
         p0 = GridProfile(g, np.where(x < 0.5, 1.0, 0.0))
         with pytest.raises(SolverFailure, match="gf-stiff"):
             equivalence_check(nl033, lambda p: np.exp(5.0 * np.asarray(p, dtype=float)),
-                              g, p0, 0.0, T=2.0, dt=0.05)
+                              p0, 0.0, T=2.0, dt=0.05)
 
     def test_non_finite_quasilinear_state_is_gf_stiff(self, nl033, monkeypatch):
         def non_finite(factor, rhs):
@@ -146,4 +146,4 @@ class TestEquivalence:
         g = DomainGeometry.interval(1.0)
         p0 = GridProfile(g, np.full(41, 0.5))
         with pytest.raises(SolverFailure, match="gf-stiff"):
-            equivalence_check(nl033, N_affine, g, p0, 0.0, T=0.1, dt=0.01)
+            equivalence_check(nl033, N_affine, p0, 0.0, T=0.1, dt=0.01)
