@@ -14,12 +14,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import InvalidInput, SolverFailure
 from .model import GridProfile
-from .scenario import PRESETS, Scenario, load_scenario, write_csv
+from .scenario import PRESETS, Scenario, boundary_value, load_scenario, write_csv
 
 
 def _load_raw(args) -> dict:
@@ -90,7 +91,7 @@ def _run_barriers(sc: Scenario) -> int:
     from .steady import find_barrier_one, find_barrier_zero, shoot_radial
     from .svgplot import phase_portrait
 
-    boundaries = [int(sc.raw.get("boundary", 0))] if "boundary" in sc.raw else [0, 1]
+    boundaries = [boundary_value(sc.raw, "")] if "boundary" in sc.raw else [0, 1]
     events = {}
     for bv in boundaries:
         finder = find_barrier_one if bv == 1 else find_barrier_zero
@@ -207,20 +208,19 @@ def _run_energy(sc: Scenario) -> int:
     from .energy import energy_sigma, negative_energy_sigma_threshold, plateau_ramp_eta
 
     delta = float(sc.raw.get("delta", sc.geometry.inradius() / 5.0))
-    sigma_star, status = negative_energy_sigma_threshold(sc.nl, sc.drift, sc.geometry, delta,
-                                                         n=sc.n)
     eta = plateau_ramp_eta(delta, sc.geometry, sc.n)
+    sigma_star, status = negative_energy_sigma_threshold(sc.nl, sc.drift, eta)
     # a window around sigma*, or a fixed one when there is no finite sigma*
     lo, hi = (sigma_star / 8.0, sigma_star * 8.0) if 0.0 < sigma_star < math.inf else (1e-3, 8.0)
     rows = []
     for sig in np.geomspace(lo, hi, 9):
-        rep = energy_sigma(sc.nl, sc.drift, float(sig), eta)
+        rep = energy_sigma(sc.nl, replace(sc.drift, sigma=float(sig)), eta)
         rows.append((float(sig), rep.value, rep.gradient_part, rep.potential_part))
     write_csv(os.path.join(sc.out_dir, "energy_scan.csv"),
               ["sigma", "value_scaled", "gradient_scaled", "potential_scaled"], rows, sc.raw)
     at_star = None
     if 0.0 < sigma_star < math.inf:
-        rep = energy_sigma(sc.nl, sc.drift, sigma_star, eta)
+        rep = energy_sigma(sc.nl, replace(sc.drift, sigma=sigma_star), eta)
         at_star = {"sigma": sigma_star, "value": rep.value,
                    "gradient_part": rep.gradient_part, "potential_part": rep.potential_part}
     info = {"sigma_star": sigma_star, "status": status, "delta": delta,

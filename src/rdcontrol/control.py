@@ -114,11 +114,13 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     blocking mechanism).  Neither raises horizon-too-short.  The remaining
     steps walk the steady-state path with per-leg budget T1 and leg
     tolerance delta1/2; a leg stall fails with the leg index.  Everything
-    runs on the grid of ``p0``.
+    runs on the grid of ``p0``, and a given ``path`` must lie on it.
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
     geometry, n = p0.geometry, p0.n
+    if path is not None and any(m.geometry != geometry or m.n != n for m in path.profiles):
+        raise InvalidInput("invalid-path: the steady path is not on the grid of p0")
 
     # Step 1: static zero control toward the trivial state
     st = _Stepper(geometry, n, drift, nl, dt)

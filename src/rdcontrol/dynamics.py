@@ -81,20 +81,19 @@ class _Stepper:
         lo = -dt * lower
         di = 1.0 - dt * diag
         up = -dt * upper
-        ball = geometry.kind == "ball"
-        self.pin_left = not ball
-        lo[-1], di[-1], up[-1] = 0.0, 1.0, 0.0
-        if self.pin_left:
-            lo[0], di[0], up[0] = 0.0, 1.0, 0.0
+        # pinned rows (geometry.first_free): identity, the control on the right
+        self.first_free = first = geometry.first_free
+        lo[:first] = up[:first] = lo[-1] = up[-1] = 0.0
+        di[:first] = di[-1] = 1.0
         self.factor = factor_tridiagonal(lo, di, up)
         self.dt = dt
         self.nl = nl
 
     def advance(self, vals: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
         rhs = vals + self.dt * self.nl._f_values(vals)
-        rhs[-1] = u_right
-        if self.pin_left:
+        if self.first_free:
             rhs[0] = u_left
+        rhs[-1] = u_right
         return solve_tridiagonal(self.factor, rhs)
 
     def checks(self, vals: np.ndarray, u: float, n_steps: int, every: int):

@@ -55,9 +55,9 @@ def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
     """Return (lower, diag, upper) of A with zeroed boundary rows.
 
     ``lower[i]`` multiplies p_{i-1} in row i, ``upper[i]`` multiplies
-    p_{i+1}; row 0 and row n-1 are left empty for boundary conditions.
-    An infection drift, which depends on p, has no such operator
-    (``DriftField.coeff`` raises).
+    p_{i+1}; the pinned rows (``geometry.first_free``) are left empty for
+    boundary conditions.  An infection drift, which depends on p, has no
+    such operator (``DriftField.coeff`` raises).
     """
     x = geometry.grid(n)
     h = x[1] - x[0]
@@ -86,8 +86,8 @@ def assemble_operator(geometry: DomainGeometry, n: int, drift: DriftField):
     diag[inner] = di
     upper[inner] = up
 
-    if geometry.kind == "ball":
-        # origin row: symmetric Neumann, Lap(p)(0) = 2 d (p1 - p0)/h^2
+    if geometry.first_free == 0:
+        # origin row of a ball: symmetric Neumann, Lap(p)(0) = 2 d (p1 - p0)/h^2
         diag[0] = -2.0 * geometry.d / h**2
         upper[0] = 2.0 * geometry.d / h**2
     return lower, diag, upper
@@ -136,23 +136,16 @@ def solve_tridiagonal(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _interior_rows(geometry: DomainGeometry, n: int):
-    """Row indices where the PDE holds (origin row of a ball included)."""
-    if geometry.kind == "ball":
-        return slice(0, n - 1)
-    return slice(1, n - 1)
-
-
 def steady_residual(
     geometry: DomainGeometry,
     ops: tuple,
     nl: BistableNonlinearity,
     p: np.ndarray,
 ) -> float:
-    """Max norm of A p + f(p) over the PDE rows; ``ops`` is the
+    """Max norm of A p + f(p) over the free rows; ``ops`` is the
     (lower, diag, upper) of :func:`assemble_operator` on the grid of p."""
     res = apply_operator(*ops, p) + nl.f(p)
-    return float(np.max(np.abs(res[_interior_rows(geometry, p.size)])))
+    return float(np.max(np.abs(res[geometry.first_free:-1])))
 
 
 _NEWTON_TOL = 1e-11  # max-norm residual at which Newton stops
@@ -169,25 +162,20 @@ def newton_steady(
     """Damped Newton solve of A p + f(p) = 0 with the boundary pinned to ``bc``.
 
     ``ops`` is the (lower, diag, upper) of :func:`assemble_operator` on
-    the grid of ``seed``.  On an interval both end nodes are pinned; on a
-    ball only r = R is, and the origin row carries the regularized
-    operator.  Returns the solution and its residual; raises SolverFailure
+    the grid of ``seed``; the rows ``geometry.first_free`` marks are
+    pinned.  Returns the solution and its residual; raises SolverFailure
     on divergence.  A stalled line search returns the iterate when its
     residual is within 4x the roundoff floor eps * max|diag| * max|p| of
     A p, which can exceed _NEWTON_TOL on fine grids.
     """
     lower, diag, upper = ops
+    first = geometry.first_free
     p = seed.astype(float).copy()
-    p[-1] = bc
-    ball = geometry.kind == "ball"
-    if not ball:
-        p[0] = bc
+    p[:first] = p[-1] = bc
 
     def residual_vec(q):
         res = apply_operator(lower, diag, upper, q) + nl.f(q)
-        res[-1] = 0.0
-        if not ball:
-            res[0] = 0.0
+        res[:first] = res[-1] = 0.0
         return res
 
     res = residual_vec(p)
@@ -198,12 +186,9 @@ def newton_steady(
         jl = lower.copy()
         jd = diag + nl.fprime(p)
         ju = upper.copy()
-        # boundary rows: identity, zero correction
-        jd[-1] = 1.0
-        jl[-1] = 0.0
-        if not ball:
-            jd[0] = 1.0
-            ju[0] = 0.0
+        # pinned rows: identity, zero correction
+        jd[:first] = jd[-1] = 1.0
+        ju[:first] = jl[-1] = 0.0
         delta = solve_tridiagonal(factor_tridiagonal(jl, jd, ju), -res)
         step = 1.0
         for _ in range(40):

@@ -10,13 +10,14 @@ with w = N^{2/sigma} and F under the extension-by-zero convention
 Quadrature is composite Simpson on the uniform grid with the radial
 measure r^{d-1} (times the sphere area) on balls.  Strong drifts push
 N^{2/sigma} far outside floating-point range, so every weighted energy
-runs on the weight divided by its max and reports that log-shift.
+runs on ``DriftField.weight``, the weight divided by its max, with the
+drift's own sigma: the energy's sign and minimizers do not change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class EnergyReport:
     value: float
     gradient_part: float
     potential_part: float
-    log_shift: float  # parts are scaled by exp(-log_shift)
 
 
 def _sphere_area(d: int) -> float:
@@ -54,36 +54,26 @@ def _measure(geometry: DomainGeometry, x: np.ndarray) -> np.ndarray:
     return np.ones_like(x)
 
 
-def _log_weight(N_profile: DriftField, sigma: float, x: np.ndarray) -> np.ndarray:
-    """(2/sigma) ln N on the nodes x: the log of the weight N^{2/sigma}."""
-    return (2.0 / sigma) * N_profile.ln_N(x)
-
-
-def energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
+def energy_sigma(nl: BistableNonlinearity, drift: DriftField,
                  p_profile: GridProfile) -> EnergyReport:
     """Weighted energy of a zero-boundary profile, on its own geometry.
 
-    ``N_profile`` is the drift whose density N gives the weight; F uses
-    the extension-by-zero convention.  The weight is normalized by its
-    max (sign and minimizers unchanged), which keeps extreme sigmas
-    representable; the applied shift is reported.
+    The weight is the drift's ``weight`` (N^{2/sigma} with the drift's
+    sigma, divided by its max); F uses the extension-by-zero convention.
     """
     geometry, vals = p_profile.geometry, p_profile.values
     x = p_profile.x
     h = p_profile.h
-    if abs(vals[-1]) > 1e-12 or (geometry.kind == "interval" and abs(vals[0]) > 1e-12):
+    if np.any(np.abs(vals[:geometry.first_free]) > 1e-12) or abs(vals[-1]) > 1e-12:
         raise InvalidInput("bc-violation: energy profiles must vanish on the boundary")
-    logw = _log_weight(N_profile, sigma, x)
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
+    w = drift.weight(x)
     meas = _measure(geometry, x)
     grad = np.gradient(vals, h, edge_order=2)
     gradient_part = 0.5 * simpson(w * meas * grad**2, dx=h)
     potential_part = simpson(w * meas * np.asarray(nl.F_zero(vals)), dx=h)
     return EnergyReport(value=float(gradient_part - potential_part),
                         gradient_part=float(gradient_part),
-                        potential_part=float(potential_part),
-                        log_shift=shift)
+                        potential_part=float(potential_part))
 
 
 def plateau_ramp_eta(delta: float, geometry: DomainGeometry, n: int) -> GridProfile:
@@ -99,21 +89,19 @@ def plateau_ramp_eta(delta: float, geometry: DomainGeometry, n: int) -> GridProf
     return GridProfile(geometry, vals)
 
 
-def negative_energy_sigma_threshold(nl: BistableNonlinearity, N_profile: DriftField,
-                                    geometry: DomainGeometry, delta: float,
-                                    n: int = 2049) -> tuple[float, str]:
+def negative_energy_sigma_threshold(nl: BistableNonlinearity, drift: DriftField,
+                                    eta: GridProfile) -> tuple[float, str]:
     """Sign-change threshold sigma* of sigma -> E_sigma(eta) on the
-    probed window [1e-6, 1e6].
+    probed window [1e-6, 1e6], for the density N of ``drift`` (whose own
+    sigma each probe replaces).
 
     Returns (sigma*, "bracketed") with two-digit relative accuracy, the
     sentinel (0.0, "always-negative") when the energy is already
     negative at sigma = 1e6, and (inf, "never-negative") when no sign
     change exists in the window.
     """
-    eta = plateau_ramp_eta(delta, geometry, n)
-
     def sign_at(sigma: float) -> float:
-        return energy_sigma(nl, N_profile, sigma, eta).value
+        return energy_sigma(nl, replace(drift, sigma=sigma), eta).value
 
     if sign_at(1e6) < 0.0:
         return 0.0, "always-negative"
@@ -152,11 +140,11 @@ def laplace_ratio_check(c0: float, d: int, phi, eps_list) -> list[float]:
     return ratios
 
 
-def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma: float,
-                          p_init: GridProfile,
+def minimize_energy_sigma(nl: BistableNonlinearity, drift: DriftField, p_init: GridProfile,
                           max_iter: int = 10000) -> tuple[GridProfile, EnergyReport]:
-    """Projected gradient descent of the weighted energy over profiles
-    clipped to [0, 1] with zero boundary values, on the grid of ``p_init``.
+    """Projected gradient descent of the weighted energy (the drift's
+    weight and sigma) over profiles clipped to [0, 1] with zero boundary
+    values, on the grid of ``p_init``.
 
     Fixed step 0.5 h^2 / max(w) on the mass-normalized gradient, halved
     whenever a step would increase the energy (the truncation-to-[0,1]
@@ -164,20 +152,16 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
     the iteration cap.
     """
     geometry = p_init.geometry
+    first = geometry.first_free
     x = p_init.x
     h = x[1] - x[0]
-    logw = _log_weight(N_profile, sigma, x)
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
+    w = drift.weight(x)
     meas = _measure(geometry, x)
     mw = w * meas
     mw_mid = 0.5 * (mw[:-1] + mw[1:])
 
     p = np.clip(p_init.values.copy(), 0.0, 1.0)
-    p[-1] = 0.0
-    first = 0 if geometry.kind == "ball" else 1
-    if geometry.kind == "interval":
-        p[0] = 0.0
+    p[:first] = p[-1] = 0.0
 
     def discrete_energy(q):
         grad = np.diff(q) / h
@@ -190,9 +174,7 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
         g[1:] += flux
         g[:-1] -= flux
         g -= mw * np.asarray(nl.f(np.clip(q, 0.0, 1.0))) * h
-        g[-1] = 0.0
-        if geometry.kind == "interval":
-            g[0] = 0.0
+        g[:first] = g[-1] = 0.0
         return g
 
     tau0 = 0.5 * h**2 / float(np.max(w))
@@ -204,9 +186,7 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
         tau = tau0
         for _ in range(30):
             q = np.clip(p - tau * step_dir, 0.0, 1.0)
-            q[-1] = 0.0
-            if geometry.kind == "interval":
-                q[0] = 0.0
+            q[:first] = q[-1] = 0.0
             e_new = discrete_energy(q)
             if e_new <= energy:
                 break
@@ -218,4 +198,4 @@ def minimize_energy_sigma(nl: BistableNonlinearity, N_profile: DriftField, sigma
         if moved < 1e-13:
             break
     minimizer = GridProfile(geometry, p)
-    return minimizer, energy_sigma(nl, N_profile, sigma, minimizer)
+    return minimizer, energy_sigma(nl, drift, minimizer)

@@ -188,7 +188,7 @@ class DriftField:
       infection    -- N depends on the proportion p, not on x.
 
     ``coeff(x) = (2/sigma) b(x)`` is the advection coefficient in front
-    of dp/dx, ``weight_sigma`` the variational weight N^{2/sigma}.
+    of dp/dx, ``weight`` the variational weight N^{2/sigma}.
     """
 
     kind: str
@@ -248,11 +248,11 @@ class DriftField:
         """Effective advection coefficient (2/sigma) b(x) in front of dp/dx."""
         return (2.0 / self.sigma) * self.b(x)
 
-    def weight_sigma(self, x, shift: float = 0.0):
-        """Variational weight N^{2/sigma}; ``shift`` subtracts a constant
-        from (2/sigma) ln N before exponentiating (quotients are scale
-        invariant, so a shift avoids overflow for strong drifts)."""
-        return np.exp((2.0 / self.sigma) * self.ln_N(x) - shift)
+    def weight(self, x):
+        """Variational weight N^{2/sigma} on the nodes x divided by its max,
+        which keeps strong drifts in range (every use is scale invariant)."""
+        logw = (2.0 / self.sigma) * self.ln_N(x)
+        return np.exp(logw - np.max(logw))
 
     def _check_spatial(self) -> None:
         """An infection drift depends on p, not on x: it has no b(x), ln N(x)
@@ -274,7 +274,13 @@ class DriftField:
 @dataclass(frozen=True)
 class DomainGeometry:
     """Interval (-L, L), of dimension d = 1, or ball of radius R in
-    dimension d (radial)."""
+    dimension d (radial).
+
+    ``first_free`` is the one rule for the boundary rows of every solver:
+    node n - 1 is always pinned to the boundary value, and so are the
+    nodes before ``first_free`` -- node 0 of an interval, none of a ball,
+    whose centre r = 0 is a symmetry node where the equation holds.
+    """
 
     kind: str
     half_width: float
@@ -297,6 +303,10 @@ class DomainGeometry:
     @classmethod
     def ball(cls, R: float, d: int) -> "DomainGeometry":
         return cls(kind="ball", half_width=float(R), d=int(d))
+
+    @property
+    def first_free(self) -> int:
+        return 1 if self.kind == "interval" else 0
 
     def inradius(self) -> float:
         return self.half_width

@@ -32,7 +32,7 @@ from . import __version__
 from .errors import InvalidInput
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
-__all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash"]
+__all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash", "boundary_value"]
 
 EXPERIMENTS = ("barriers", "simulate", "report", "mintime-scan", "eigen", "energy",
                "transform-check")
@@ -84,8 +84,7 @@ class Scenario:
         # kind "barrier-seeded"
         from .steady import find_barrier_one, find_barrier_zero
 
-        bv = _num(self.p0_spec, "boundary", "p0", 0.0)
-        finder = find_barrier_zero if bv == 0.0 else find_barrier_one
+        finder = find_barrier_one if boundary_value(self.p0_spec, "p0") else find_barrier_zero
         b = finder(self.nl, self.drift, self.geometry, n_grid=self.n)
         if b is None:
             raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
@@ -111,6 +110,16 @@ def _num(spec: dict, key: str, ctx: str, default=None, cast=float):
     except (TypeError, ValueError, OverflowError):
         raise InvalidInput(f"invalid-scenario: {name} must be a finite number, "
                            f"got {value!r}") from None
+
+
+def boundary_value(spec: dict, ctx: str) -> int:
+    """spec["boundary"] (default 0), a barrier's constant boundary value:
+    0 or 1; InvalidInput names the key's path otherwise."""
+    bv = _num(spec, "boundary", ctx, 0.0)
+    if bv not in (0.0, 1.0):
+        name = f"{ctx}.boundary" if ctx else "boundary"
+        raise InvalidInput(f"invalid-scenario: {name} must be 0 or 1, got {spec['boundary']!r}")
+    return int(bv)
 
 
 def _numbers(spec: dict, key: str, ctx: str) -> np.ndarray:
@@ -236,9 +245,10 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
     if dt <= 0.0 or T <= 0.0:
         raise InvalidInput("invalid-scenario: dt and T must be positive")
     # numeric keys the experiment runners read: checked here so a bad value exits 2
-    for key in ("delta1", "T1", "delta", "boundary"):
+    for key in ("delta1", "T1", "delta"):
         if key in merged:
             _num(merged, key, "")
+    boundary_value(merged, "")
     for key in ("sigmas", "horizons"):
         if key in merged:
             _numbers(merged, key, "")

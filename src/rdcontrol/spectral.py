@@ -16,7 +16,6 @@ found by inverse power iteration with the weighted mass matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,34 +41,29 @@ class EigenResult:
     residual: float
 
 
-def _weight_on_grid(weight: Callable, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(weight(x), dtype=float)
-    if w.shape != x.shape:
-        raise InvalidInput("invalid-weight: weight shape does not match grid")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise InvalidInput("invalid-weight: weight must be positive and finite")
-    return w
-
-
 _EIGEN_TOL = 1e-12  # inverse iteration stops when lambda moves less than this
 _EIGEN_MAX_ITER = 10000
 
 
-def weighted_lambda1(geometry: DomainGeometry, weight: Callable, n: int) -> EigenResult:
-    """Smallest eigenvalue of the weighted Dirichlet form.
+def weighted_lambda1(geometry: DomainGeometry, w: np.ndarray) -> EigenResult:
+    """Smallest eigenvalue of the weighted Dirichlet form on the
+    ``w.size``-node grid of ``geometry``.
 
-    ``weight`` maps the grid nodes to positive values (w = N^2 or
-    N^{2/sigma}); the quotient is invariant under rescaling of w.
+    ``w`` holds the positive weight on the nodes (1, or N^{2/sigma}); the
+    quotient is invariant under rescaling of w.  The free nodes are those
+    of ``geometry.first_free`` (a ball's centre is a natural, Neumann node).
     """
+    n = w.size
     if n < 32:
         raise InvalidInput("invalid-grid: eigenvalue solves need n >= 32")
+    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise InvalidInput("invalid-weight: weight must be positive and finite")
     x = geometry.grid(n)
     h = x[1] - x[0]
-    w = _weight_on_grid(weight, x)
     w = w / np.max(w)  # scale invariance; keeps strong drifts in range
 
     measure = np.maximum(x, 0.0) ** (geometry.d - 1) if geometry.d > 1 else np.ones_like(x)
-    first = 0 if geometry.kind == "ball" else 1  # r = 0 is a natural (Neumann) node
+    first = geometry.first_free
     free = np.arange(first, n - 1)
 
     w_mid = 0.5 * (w[:-1] + w[1:])
@@ -85,8 +79,8 @@ def weighted_lambda1(geometry: DomainGeometry, weight: Callable, n: int) -> Eige
     lower[1:] = upper[:-1] = -k_edge[first:-1]
 
     mass = w[free] * measure[free] * h
-    if geometry.d > 1:
-        # origin node: lumped mass of the half cell [0, h/2]
+    if first == 0:
+        # a ball's centre: lumped mass of the half cell [0, h/2]
         mass[0] = w[0] * (h / 2.0) ** geometry.d / geometry.d
     if np.any(mass <= 0.0):
         raise InvalidInput("invalid-weight: degenerate mass matrix")
@@ -118,13 +112,12 @@ def weighted_lambda1(geometry: DomainGeometry, weight: Callable, n: int) -> Eige
 
 def dirichlet_lambda1(geometry: DomainGeometry, n: int) -> EigenResult:
     """First Laplace-Dirichlet eigenvalue of the geometry."""
-    return weighted_lambda1(geometry, lambda x: np.ones_like(x), n)
+    return weighted_lambda1(geometry, np.ones(n))
 
 
 def lambda_sigma(geometry: DomainGeometry, drift: DriftField, n: int) -> EigenResult:
     """Weighted eigenvalue with the drift's own weight N^{2/sigma}."""
-    shift = float(np.max((2.0 / drift.sigma) * drift.ln_N(geometry.grid(n))))
-    return weighted_lambda1(geometry, lambda x: drift.weight_sigma(x, shift=shift), n)
+    return weighted_lambda1(geometry, drift.weight(geometry.grid(n)))
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,9 @@ def tilde_nonlinearity(gf: GeneFlowMap, nl: BistableNonlinearity) -> BistableNon
 
 class _CnAb2:
     """Second-order IMEX stepper (Crank-Nicolson diffusion + AB2 explicit
-    part) with pinned Dirichlet boundary rows.  Used by the equivalence
-    check so that the time error O(dt^2) refines at the same rate as the
-    O(h^2) space error."""
+    part) with the Dirichlet rows of ``geometry.first_free`` pinned.  Used
+    by the equivalence check so that the time error O(dt^2) refines at the
+    same rate as the O(h^2) space error."""
 
     def __init__(self, geometry: DomainGeometry, n: int, dt: float):
         drift0 = DriftField.homogeneous()
@@ -122,17 +122,16 @@ class _CnAb2:
         imp_lo = -0.5 * dt * lower
         imp_di = 1.0 - 0.5 * dt * diag
         imp_up = -0.5 * dt * upper
-        imp_lo[0] = imp_up[0] = 0.0
-        imp_di[0] = 1.0
-        imp_lo[-1] = imp_up[-1] = 0.0
-        imp_di[-1] = 1.0
+        self.first_free = first = geometry.first_free
+        imp_lo[:first] = imp_up[:first] = imp_lo[-1] = imp_up[-1] = 0.0
+        imp_di[:first] = imp_di[-1] = 1.0
         self.factor = factor_tridiagonal(imp_lo, imp_di, imp_up)
         self.dt = dt
 
     def advance(self, vals, g_now, g_prev, u):
         rhs = apply_operator(self.exp_lo, self.exp_di, self.exp_up, vals)
         rhs += self.dt * (1.5 * g_now - 0.5 * g_prev)
-        rhs[0] = rhs[-1] = u
+        rhs[:self.first_free] = rhs[-1] = u
         return solve_tridiagonal(self.factor, rhs)
 
 

@@ -210,17 +210,16 @@ def test_criterion_7_energy_threshold(nl):
     with criterion(7, "finite sigma* with bracketing signs and solvable minimizer"):
         g = DomainGeometry.interval(2.5)
         drift = DriftField.radial("gauss_out", 1.0)  # base N = e^{-x^2/2}
-        sigma_star, status = negative_energy_sigma_threshold(nl, drift, g, 0.5)
-        assert status == "bracketed" and 0.0 < sigma_star < math.inf
         eta = plateau_ramp_eta(0.5, g, 2049)
-        low = energy_sigma(nl, drift, sigma_star / 2, eta)
-        high = energy_sigma(nl, drift, 2 * sigma_star, eta)
+        sigma_star, status = negative_energy_sigma_threshold(nl, drift, eta)
+        assert status == "bracketed" and 0.0 < sigma_star < math.inf
+        drift_eff = DriftField.radial("gauss_out", sigma_star / 2)
+        low = energy_sigma(nl, drift_eff, eta)
+        high = energy_sigma(nl, DriftField.radial("gauss_out", 2 * sigma_star), eta)
         assert low.value < 0.0 < high.value
         n = 513
-        prof, rep = minimize_energy_sigma(nl, drift, sigma_star / 2,
-                                          p_init=plateau_ramp_eta(0.5, g, n))
+        prof, rep = minimize_energy_sigma(nl, drift_eff, p_init=plateau_ramp_eta(0.5, g, n))
         assert rep.value < 0.0
-        drift_eff = DriftField.radial("gauss_out", sigma_star / 2)
         ops = assemble_operator(g, n, drift_eff)
         vals, _ = newton_steady(g, ops, nl, prof.values, 0.0)
         assert steady_residual(g, ops, nl, vals) < 1e-5

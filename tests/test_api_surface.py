@@ -29,8 +29,10 @@ nesting, function bodies included.
 A profile carries its geometry and its node count, so no public function
 or method takes a ``GridProfile`` parameter together with a
 ``DomainGeometry`` parameter or a node count (``n``, ``n_grid``): a second
-copy of either can only disagree with the profile.  The grid scan reads
-parameter annotations and names.
+copy of either can only disagree with the profile.  Likewise a drift
+carries its sigma, so none takes a ``DriftField`` parameter together with
+one named ``sigma``.  The grid and sigma scans read parameter annotations
+and names.
 """
 
 from __future__ import annotations
@@ -232,27 +234,31 @@ def test_the_only_scipy_import_is_lapack():
 GRID_COUNTS = ("n", "n_grid")
 
 
-def _mismatchable(source: str) -> list:
-    """Each public module-level function and public method of a public
-    class in ``source`` that takes a parameter annotated ``GridProfile``
-    together with one annotated ``DomainGeometry`` or named in GRID_COUNTS."""
-    def annotated(arg, name) -> bool:
-        return arg.annotation is not None and any(
-            isinstance(node, ast.Name) and node.id == name for node in ast.walk(arg.annotation))
+def _annotated(arg, name) -> bool:
+    return arg.annotation is not None and any(
+        isinstance(node, ast.Name) and node.id == name for node in ast.walk(arg.annotation))
 
+
+def _public_signatures(source: str):
+    """(qualified name, parameters) of each public module-level function
+    and public method of a public class in ``source``."""
     tree = ast.parse(source)
     defs = [(node, "") for node in filter(_public_def, tree.body)
             if isinstance(node, ast.FunctionDef)]
     for cls in (node for node in filter(_public_def, tree.body) if isinstance(node, ast.ClassDef)):
         defs += [(node, f"{cls.name}.") for node in filter(_public_def, cls.body)
                  if isinstance(node, ast.FunctionDef)]
-    found = []
     for fn, owner in defs:
-        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        if any(annotated(a, "GridProfile") for a in args) and any(
-                annotated(a, "DomainGeometry") or a.arg in GRID_COUNTS for a in args):
-            found.append(owner + fn.name)
-    return found
+        yield owner + fn.name, fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+
+
+def _mismatchable(source: str) -> list:
+    """Each public function or method in ``source`` that takes a parameter
+    annotated ``GridProfile`` together with one annotated
+    ``DomainGeometry`` or named in GRID_COUNTS."""
+    return [name for name, args in _public_signatures(source)
+            if any(_annotated(a, "GridProfile") for a in args) and any(
+                _annotated(a, "DomainGeometry") or a.arg in GRID_COUNTS for a in args)]
 
 
 def test_the_grid_scan_reads_annotations():
@@ -270,3 +276,28 @@ def test_no_function_takes_a_profile_and_its_grid():
     found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _mismatchable(path.read_text())]
     assert not found, f"functions that take a GridProfile and a geometry or node count: {found}"
+
+
+def _second_sigma(source: str) -> list:
+    """Each public function or method in ``source`` that takes a parameter
+    annotated ``DriftField`` together with one named ``sigma``."""
+    return [name for name, args in _public_signatures(source)
+            if any(_annotated(a, "DriftField") for a in args)
+            and any(a.arg == "sigma" for a in args)]
+
+
+def test_the_sigma_scan_reads_annotations():
+    source = ("def a(drift: DriftField, sigma: float): pass\n"
+              "def b(nl, N: Optional[DriftField], *, sigma=1.0): pass\n"
+              "def c(drift: DriftField, s: float): pass\n"
+              "def d(sigma: float, n: int): pass\n"
+              "def _e(drift: DriftField, sigma): pass\n"
+              "class K:\n    def f(self, drift: DriftField): pass\n"
+              "    def g(self, drift: DriftField, sigma): pass\n")
+    assert _second_sigma(source) == ["a", "b", "K.g"]
+
+
+def test_no_function_takes_a_drift_and_a_second_sigma():
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _second_sigma(path.read_text())]
+    assert not found, f"functions that take a DriftField and a sigma beside it: {found}"

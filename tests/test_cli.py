@@ -261,6 +261,13 @@ class TestCommands:
         svg = (tmp_path / "o" / "barrier_0_phase.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("boundary", [2, 0.6, -1, "1.5"])
+    def test_barriers_boundary_other_than_0_or_1_exit_2(self, tmp_path, capsys, boundary):
+        sc = _write_scenario(tmp_path, {"preset": "fig5_strong", "boundary": boundary})
+        assert main(["barriers", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+        assert "boundary must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_barriers_with_infection_drift_exit_2(self, tmp_path, capsys):
         rc = main(["barriers", "--scenario", _write_scenario(tmp_path, {
             "experiment": "barriers", "domain": {"kind": "interval", "L": 1.0}, "n": 101,
@@ -517,6 +524,12 @@ class TestInitialProfile:
     def test_barrier_seeded(self, tmp_path):
         assert self._simulate(tmp_path, {"kind": "barrier-seeded", "boundary": 0}) == 0
         assert json.loads((tmp_path / "o" / "verdict.json").read_text())["0"]["status"] == "blocked"
+
+    @pytest.mark.parametrize("boundary", [0.5, 2, "x"])
+    def test_barrier_seeded_boundary_other_than_0_or_1_exit_2(self, tmp_path, capsys,
+                                                               boundary):
+        assert self._simulate(tmp_path, {"kind": "barrier-seeded", "boundary": boundary}) == 2
+        assert "p0.boundary must be" in capsys.readouterr().err
 
     def test_barrier_seeded_on_a_d1_ball_keeps_the_scenario_grid(self, tmp_path):
         # a d = 1 ball is [0, R]: the seed is searched on that grid, not on (-R, R)

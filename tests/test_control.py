@@ -64,6 +64,15 @@ class TestStaircase:
             assert leg.sup_error <= 0.025
             assert leg.duration == pytest.approx(leg.steps * 0.02, abs=1e-12)
 
+    @pytest.mark.parametrize("geometry, n", [(DomainGeometry.interval(1.0), 101),
+                                             (DomainGeometry.interval(2.0), 201)])
+    def test_path_off_the_grid_of_p0_is_rejected(self, nl033, homog, geometry, n):
+        # a path on another node count or another domain than p0 is no target for p0
+        path = build_steady_path(nl033, homog, geometry, K=9, delta=0.025, n_grid=n)
+        p0 = GridProfile(DomainGeometry.interval(1.0), np.zeros(201))
+        with pytest.raises(InvalidInput, match="invalid-path"):
+            staircase_to_theta(p0, nl033, homog, T_max=10.0, path=path)
+
     def test_controls_always_admissible(self, nl033, homog, interval_1):
         p0 = GridProfile(interval_1, np.ones(101))
         res = staircase_to_theta(p0, nl033, homog, delta1=0.05, T1=20.0, T_max=200.0, dt=0.02,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,58 +39,66 @@ class TestTestFunctions:
 class TestEnergySigma:
     def test_zero_profile(self, nl033, interval_25):
         z = GridProfile(interval_25, np.zeros(401))
-        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 1.0, z)
+        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), z)
         assert rep.value == 0.0
 
     def test_report_identity(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 801)
-        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 0.05, eta)
+        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 0.05), eta)
         assert rep.value == pytest.approx(rep.gradient_part - rep.potential_part, abs=1e-12)
 
     def test_small_sigma_negative(self, nl033, interval_25):
         # Laplace regime: potential term sigma^{1/2} beats the
         # exponentially small gradient term
         eta = plateau_ramp_eta(0.5, interval_25, 2049)
-        drift = DriftField.radial("gauss_out", 1.0)  # N = e^{-x^2/2}
-        r1 = energy_sigma(nl033, drift, 0.05, eta)
+        drift = DriftField.radial("gauss_out", 0.05)  # N = e^{-x^2/2}
+        r1 = energy_sigma(nl033, drift, eta)
         assert r1.value < 0.0
         # two grid resolutions agree
         eta2 = plateau_ramp_eta(0.5, interval_25, 4097)
-        r2 = energy_sigma(nl033, drift, 0.05, eta2)
+        r2 = energy_sigma(nl033, drift, eta2)
         assert r1.value == pytest.approx(r2.value, rel=1e-4)
 
     def test_large_sigma_matches_homogeneous_sign(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 2049)
-        drift = DriftField.radial("gauss_out", 1.0)
-        rep = energy_sigma(nl033, drift, 1e4, eta)
-        homog = energy_sigma(nl033, DriftField.homogeneous(), 1.0, eta)
+        rep = energy_sigma(nl033, DriftField.radial("gauss_out", 1e4), eta)
+        homog = energy_sigma(nl033, DriftField.homogeneous(), eta)
         assert rep.value > 0.0 and homog.value > 0.0
         assert rep.value == pytest.approx(homog.value, rel=2e-3)
 
     def test_gradient_part_quadratic_scaling(self, nl033, interval_25):
         eta = plateau_ramp_eta(0.5, interval_25, 801)
-        drift = DriftField.radial("gauss_out", 1.0)
-        base = energy_sigma(nl033, drift, 0.2, eta)
+        drift = DriftField.radial("gauss_out", 0.2)
+        base = energy_sigma(nl033, drift, eta)
         for lam in (0.5, 2.0):
             scaled = GridProfile(interval_25, lam * eta.values)
-            rep = energy_sigma(nl033, drift, 0.2, scaled)
+            rep = energy_sigma(nl033, drift, scaled)
             assert rep.gradient_part == pytest.approx(lam**2 * base.gradient_part, rel=1e-12)
 
     def test_bc_violation(self, nl033, interval_25):
         bad = GridProfile(interval_25, np.full(101, 0.5))
         with pytest.raises(InvalidInput, match="bc-violation"):
-            energy_sigma(nl033, DriftField.homogeneous(), 1.0, bad)
+            energy_sigma(nl033, DriftField.homogeneous(), bad)
+
+    def test_ball_centre_is_free(self, nl033):
+        # only r = R is a boundary node of a ball; its centre r = 0 is not
+        g = DomainGeometry.ball(2.5, 3)
+        eta = plateau_ramp_eta(0.5, g, 401)
+        assert eta.values[0] == 1.0
+        assert np.isfinite(energy_sigma(nl033, DriftField.homogeneous(), eta).value)
+        with pytest.raises(InvalidInput, match="bc-violation"):
+            energy_sigma(nl033, DriftField.homogeneous(), GridProfile(g, np.full(401, 0.5)))
 
 
 class TestThreshold:
     def test_finite_threshold_gauss(self, nl033, interval_25):
         drift = DriftField.radial("gauss_out", 1.0)  # N = e^{-x^2/2}
-        sigma_star, status = negative_energy_sigma_threshold(nl033, drift, interval_25, 0.5)
+        eta = plateau_ramp_eta(0.5, interval_25, 2049)
+        sigma_star, status = negative_energy_sigma_threshold(nl033, drift, eta)
         assert status == "bracketed"
         assert 0.0 < sigma_star < 1.0
-        eta = plateau_ramp_eta(0.5, interval_25, 2049)
-        below = energy_sigma(nl033, drift, sigma_star / 2, eta)
-        above = energy_sigma(nl033, drift, 2 * sigma_star, eta)
+        below = energy_sigma(nl033, replace(drift, sigma=sigma_star / 2), eta)
+        above = energy_sigma(nl033, replace(drift, sigma=2 * sigma_star), eta)
         assert below.value < 0.0 < above.value
 
     def test_theta_dependence(self, interval_25):
@@ -97,10 +106,9 @@ class TestThreshold:
         from rdcontrol.model import BistableNonlinearity
 
         drift = DriftField.radial("gauss_out", 1.0)
-        s33, _ = negative_energy_sigma_threshold(BistableNonlinearity.cubic(0.33),
-                                                 drift, interval_25, 0.5)
-        s45, _ = negative_energy_sigma_threshold(BistableNonlinearity.cubic(0.45),
-                                                 drift, interval_25, 0.5)
+        eta = plateau_ramp_eta(0.5, interval_25, 2049)
+        s33, _ = negative_energy_sigma_threshold(BistableNonlinearity.cubic(0.33), drift, eta)
+        s45, _ = negative_energy_sigma_threshold(BistableNonlinearity.cubic(0.45), drift, eta)
         assert s45 < s33
 
     def test_sigma_free_negative_sentinel(self, nl033):
@@ -108,7 +116,8 @@ class TestThreshold:
         # independently of sigma -> sentinel 0
         g = DomainGeometry.interval(40.0)
         drift = DriftField.homogeneous()
-        sigma_star, status = negative_energy_sigma_threshold(nl033, drift, g, 15.0, n=4097)
+        sigma_star, status = negative_energy_sigma_threshold(nl033, drift,
+                                                             plateau_ramp_eta(15.0, g, 4097))
         assert status == "always-negative" and sigma_star == 0.0
 
 
@@ -145,34 +154,31 @@ class TestLaplace:
 class TestMinimizer:
     def test_descends_and_solves(self, nl033, interval_25):
         drift = DriftField.radial("gauss_out", 1.0)
-        sigma_star, _ = negative_energy_sigma_threshold(nl033, drift, interval_25, 0.5)
-        sigma = sigma_star / 2
-        n = 513
-        eta = plateau_ramp_eta(0.5, interval_25, n)
-        e_eta = energy_sigma(nl033, drift, sigma, eta).value
-        prof, rep = minimize_energy_sigma(nl033, drift, sigma, p_init=eta)
+        sigma_star, _ = negative_energy_sigma_threshold(nl033, drift,
+                                                        plateau_ramp_eta(0.5, interval_25, 2049))
+        drift = replace(drift, sigma=sigma_star / 2)
+        eta = plateau_ramp_eta(0.5, interval_25, 513)
+        e_eta = energy_sigma(nl033, drift, eta).value
+        prof, rep = minimize_energy_sigma(nl033, drift, p_init=eta)
         assert rep.value <= e_eta
         assert rep.value < 0.0
         assert np.min(prof.values) >= 0.0 and np.max(prof.values) <= 1.0
 
     def test_monotone_energy_descent(self, nl033, interval_25):
         # coarse re-run tracking energy by hand: descent never increases
-        drift = DriftField.radial("gauss_out", 1.0)
+        drift = DriftField.radial("gauss_out", 0.05)
         n = 257
         eta = plateau_ramp_eta(0.5, interval_25, n)
-        from rdcontrol.energy import _log_weight, _measure
+        from rdcontrol.energy import _measure
 
-        sigma = 0.05
         x = interval_25.grid(n)
         h = x[1] - x[0]
-        logw = _log_weight(drift, sigma, x)
-        w = np.exp(logw - np.max(logw))
-        mw = w * _measure(interval_25, x)
+        mw = drift.weight(x) * _measure(interval_25, x)
         mw_mid = 0.5 * (mw[:-1] + mw[1:])
 
         def energy(q):
             return (0.5 * np.sum(mw_mid * (np.diff(q) / h) ** 2) * h
                     - np.sum(mw * np.asarray(nl033.F_zero(q))) * h)
 
-        prof, _ = minimize_energy_sigma(nl033, drift, sigma, p_init=eta, max_iter=600)
+        prof, _ = minimize_energy_sigma(nl033, drift, p_init=eta, max_iter=600)
         assert energy(prof.values) <= energy(np.clip(eta.values, 0.0, 1.0)) + 1e-15

@@ -108,9 +108,16 @@ class TestDrift:
         assert np.allclose(d_abs.b(np.array([-1.0, 0.0, 2.0])), [-1.0, 0.0, 1.0])
 
     def test_weight_sigma(self):
+        # N^{2/sigma} divided by its max, with the drift's own sigma
         d = DriftField.radial("gauss_out", 4.0)
         x = np.array([0.0, 1.0, 2.0])
-        assert np.allclose(d.weight_sigma(x), np.exp(-x**2 / 4.0))
+        assert np.allclose(d.weight(x), np.exp(-x**2 / 4.0))
+        assert np.allclose(d.weight(x + 1.0), np.exp(-((x + 1.0)**2 - 1.0) / 4.0))
+
+    def test_weight_stays_in_range_for_strong_drifts(self):
+        # N^{2/sigma} = e^{x^2/sigma} overflows at sigma = 1e-3 on x = 2
+        w = DriftField.radial("gauss_in", 1e-3).weight(np.linspace(-2.0, 2.0, 41))
+        assert np.all(np.isfinite(w)) and w.max() == 1.0 and w[0] == w[-1] == 1.0
 
     def test_sigma_positive(self):
         with pytest.raises(InvalidInput, match="invalid-sigma"):
@@ -130,12 +137,18 @@ class TestDrift:
         # N depends on p: there is no b(x) or ln N(x) to fall back to N = 1 with
         d = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
         x = np.linspace(-1.0, 1.0, 5)
-        for method in (d.b, d.ln_N, d.coeff, d.weight_sigma):
+        for method in (d.b, d.ln_N, d.coeff, d.weight):
             with pytest.raises(InvalidInput, match="invalid-drift-kind.*transform-check"):
                 method(x)
 
 
 class TestGeometryProfiles:
+    def test_first_free_row(self):
+        # node 0 of an interval is a boundary node; a ball's centre r = 0 is not
+        assert DomainGeometry.interval(1.0).first_free == 1
+        assert DomainGeometry.ball(1.0, 1).first_free == 0
+        assert DomainGeometry.ball(1.0, 3).first_free == 0
+
     def test_inradius(self):
         assert DomainGeometry.interval(2.5).inradius() == 2.5
         assert DomainGeometry.ball(3.0, 2).inradius() == 3.0

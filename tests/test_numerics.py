@@ -65,7 +65,7 @@ class TestSimpson:
         # an even count takes scipy's last-interval correction
         calls = _spy(monkeypatch, energy, "simpson")
         eta = energy.plateau_ramp_eta(0.5, interval_25, n)
-        energy.energy_sigma(nl033, DriftField.radial("gauss_out", 1.0), 0.3, eta)
+        energy.energy_sigma(nl033, DriftField.radial("gauss_out", 0.3), eta)
         assert len(calls) == 2
         for (y,), kw in calls:
             assert y.size == n

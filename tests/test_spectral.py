@@ -22,6 +22,14 @@ class TestDirichlet:
         res = dirichlet_lambda1(DomainGeometry.ball(np.pi, 3), 512)
         assert res.lambda_ == pytest.approx(ball_lambda1_d3(np.pi), rel=5e-4)
 
+    @pytest.mark.parametrize("n", [65, 513])
+    def test_ball_d1_is_the_interval_at_equal_spacing(self, n):
+        # the centre of a d = 1 ball carries the half cell [0, h/2], so its
+        # even eigenproblem is the interval's, and the error is O(h^2), not O(h)
+        ball = dirichlet_lambda1(DomainGeometry.ball(1.0, 1), n).lambda_
+        interval = dirichlet_lambda1(DomainGeometry.interval(1.0), 2 * n - 1).lambda_
+        assert ball == pytest.approx(interval, rel=1e-12)
+
     def test_eigenprofile_shape(self):
         res = dirichlet_lambda1(DomainGeometry.interval(1.0), 128)
         prof = res.eigenprofile.values
@@ -65,22 +73,22 @@ class TestDirichlet:
 class TestWeighted:
     def test_unit_weight_reduces(self):
         g = DomainGeometry.interval(2.5)
-        lam_w = weighted_lambda1(g, lambda x: np.ones_like(x), 256).lambda_
+        lam_w = weighted_lambda1(g, np.ones(256)).lambda_
         lam_d = dirichlet_lambda1(g, 256).lambda_
         assert lam_w == pytest.approx(lam_d, rel=1e-9)
 
     def test_scale_invariance(self):
         g = DomainGeometry.interval(2.0)
-        w0 = lambda x: np.exp(-(x**2))
-        lam0 = weighted_lambda1(g, w0, 256).lambda_
+        w0 = np.exp(-(g.grid(256)**2))
+        lam0 = weighted_lambda1(g, w0).lambda_
         for c in (0.1, 10.0):
-            lam = weighted_lambda1(g, lambda x: c * w0(x), 256).lambda_
+            lam = weighted_lambda1(g, c * w0).lambda_
             assert lam == pytest.approx(lam0, rel=1e-12)
 
     def test_positive_weight_required(self):
         g = DomainGeometry.interval(1.0)
         with pytest.raises(InvalidInput, match="invalid-weight"):
-            weighted_lambda1(g, lambda x: x, 64)
+            weighted_lambda1(g, g.grid(64))
 
     def test_sigma_scaling_on_large_interval(self):
         # lambda_{sigma/2} / lambda_sigma ~ 2 for N = e^{x^2/2} on L = 6

@@ -254,8 +254,7 @@ class TestDiscreteSearch:
         marched = steady._marched_barrier(nl033, geometry, ops, upper, 0.0)
 
         eta = plateau_ramp_eta(geometry.inradius() / 4.0, geometry, n)
-        prof, _ = minimize_energy_sigma(nl033, gauss_out, SIGMA_STRONG, p_init=eta,
-                                        max_iter=4000)
+        prof, _ = minimize_energy_sigma(nl033, gauss_out, p_init=eta, max_iter=4000)
         vals, _ = newton_steady(geometry, ops, nl033, prof.values, 0.0)
         assert np.max(np.abs(vals - marched.profile.values)) <= 1e-9
 

@@ -116,6 +116,15 @@ class TestEquivalence:
         d = equivalence_check(nl033, N_affine, p0, 0.6, T=0.5, dt=0.002)
         assert d < 1e-6
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ball_centre_is_not_pinned(self, nl033, d):
+        # the centre r = 0 of a ball is a symmetry node, not a boundary node:
+        # pinning it to u would split the two sides by ~2e-3 within a step
+        g = DomainGeometry.ball(1.0, d)
+        x = g.grid(101)
+        p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
+        assert equivalence_check(nl033, N_affine, p0, 0.0, T=2.0, dt=0.002) < 1e-4
+
     def test_refinement_factor_near_four(self, nl033):
         g = DomainGeometry.interval(1.0)
         discs = []
