@@ -57,27 +57,6 @@ def _overrides(args) -> dict:
     return out
 
 
-def run(sc: Scenario) -> int:
-    """Dispatch one scenario; writes artifacts into sc.out_dir."""
-    os.makedirs(sc.out_dir, exist_ok=True)
-    kind = sc.experiment
-    if kind == "barriers":
-        return _run_barriers(sc)
-    if kind == "simulate":
-        return _run_simulate(sc)
-    if kind == "report":
-        return _run_report(sc)
-    if kind == "mintime-scan":
-        return _run_mintime(sc)
-    if kind == "eigen":
-        return _run_eigen(sc)
-    if kind == "energy":
-        return _run_energy(sc)
-    if kind == "transform-check":
-        return _run_transform(sc)
-    raise InvalidInput(f"invalid-scenario: experiment {kind!r}")
-
-
 def _emit(sc: Scenario, name: str, info: dict) -> int:
     """Write ``info`` to ``<name>.json`` in the output directory, print it
     as one line and return exit code 0."""
@@ -246,6 +225,18 @@ def _run_transform(sc: Scenario) -> int:
               ["p", "script_N", "tilde_f"], rows, sc.raw)
     info = {"sup_discrepancy": disc, "script_N_theta": float(gf.script_N(sc.nl.theta))}
     return _emit(sc, "transform", info)
+
+
+# one runner per experiment of scenario.EXPERIMENTS, which load_scenario checks
+_RUNNERS = {"barriers": _run_barriers, "simulate": _run_simulate, "report": _run_report,
+            "mintime-scan": _run_mintime, "eigen": _run_eigen, "energy": _run_energy,
+            "transform-check": _run_transform}
+
+
+def run(sc: Scenario) -> int:
+    """Dispatch one scenario; writes artifacts into sc.out_dir."""
+    os.makedirs(sc.out_dir, exist_ok=True)
+    return _RUNNERS[sc.experiment](sc)
 
 
 def build_parser() -> argparse.ArgumentParser:

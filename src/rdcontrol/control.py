@@ -14,9 +14,9 @@ constraint exactly.
 
 Because the sup-error is checked after every step, a leg's success step
 does not depend on its budget.  The minimal time is therefore read off
-one staircase run at the largest horizon: each smaller horizon replays
-the budget bookkeeping on the recorded legs, with no bisection and no
-further time stepping.
+one staircase run at the largest horizon: each smaller horizon applies
+the staircase's own leg rule (:func:`_leg_budget`) to the recorded legs,
+with no bisection and no further time stepping.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 
+_DELTA1 = 0.05  # staircase tolerance; a leg ends within half of it from its target
+
+
 @dataclass(frozen=True)
 class LegRecord:
-    index: int
-    s_target: float
     steps: int              # time steps to the first in-tolerance step (the budget on a stall)
     duration: float
     sup_error: float
@@ -58,14 +59,13 @@ class LegRecord:
 class StaircaseResult:
     success: bool
     total_time: float
-    stage: Optional[str] = None      # failing stage on failure ("step1" or "leg<i>")
+    stage: Optional[str] = None      # failing stage on failure ("step1", "path" or "leg<i>")
     reason: Optional[str] = None
     terminal_error: float = math.inf
     legs: tuple = ()
     control_min: float = math.inf
     control_max: float = -math.inf
     path: Optional[SteadyPath] = field(default=None, repr=False)
-    final: Optional[GridProfile] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,35 +75,36 @@ class MinTimeResult:
     strategy: str
 
 
-def _run_leg(st: _Stepper, state_vals, target: GridProfile, gain: float,
-             budget: float, tol: float):
-    """Feedback leg toward a steady target, ending at the first step whose
-    sup-error is within tol; returns (values, steps, time_used, success,
-    err, u_min, u_max).  Each boundary control is the target's trace plus
-    gain times the target's mismatch at the boundary-adjacent node,
-    clamped to [0, 1]."""
+def _leg_budget(T1: float, remaining: float, dt: float) -> int:
+    """Time steps a leg may take: its budget T1 capped by the remaining
+    time, rounded to at least one step; 0 when no more than dt remains."""
+    return max(1, int(round(min(T1, remaining) / dt))) if remaining > dt else 0
+
+
+def _run_leg(st: _Stepper, vals, target: GridProfile, n_steps: int, tol: float):
+    """Feedback leg toward a steady target for at most n_steps steps, ending
+    at the first step whose sup-error is within tol; returns (values,
+    LegRecord).  Each boundary control is the target's trace plus the
+    target's mismatch at the boundary-adjacent node, clamped to [0, 1]."""
     tgt = target.values
-    vals = state_vals
     t_used = 0.0
-    dt = st.dt
     u_min, u_max = math.inf, -math.inf
-    n_steps = max(1, int(round(budget / dt)))
-    for k in range(n_steps):
-        uL = min(max(float(tgt[0] + gain * (tgt[1] - vals[1])), 0.0), 1.0)
-        uR = min(max(float(tgt[-1] + gain * (tgt[-2] - vals[-2])), 0.0), 1.0)
+    for steps in range(1, n_steps + 1):
+        uL = min(max(float(tgt[0] + (tgt[1] - vals[1])), 0.0), 1.0)
+        uR = min(max(float(tgt[-1] + (tgt[-2] - vals[-2])), 0.0), 1.0)
         u_min = min(u_min, uL, uR)
         u_max = max(u_max, uL, uR)
         vals = st.advance(vals, uL, uR)
-        t_used += dt
-        err = float(np.max(np.abs(vals - target.values)))
+        t_used += st.dt
+        err = float(np.max(np.abs(vals - tgt)))
         if err <= tol:
-            return vals, k + 1, t_used, True, err, u_min, u_max
-    return vals, n_steps, t_used, False, err, u_min, u_max
+            break
+    return vals, LegRecord(steps, t_used, err, u_min, u_max)
 
 
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       T_max: float, delta1: float = 0.05, T1: float = 20.0, dt: float = 0.02,
-                       gain: float = 1.0, path: Optional[SteadyPath] = None) -> StaircaseResult:
+                       T_max: float, delta1: float = _DELTA1, T1: float = 20.0, dt: float = 0.02,
+                       path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
     Step 1 applies the static control 0 and is decided by
@@ -112,62 +113,61 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     staircase goes on from the checked state (at once when the start is
     already within delta1/2).  Blocked: it fails as "barrier-to-0" (the
     blocking mechanism).  Neither raises horizon-too-short.  The remaining
-    steps walk the steady-state path with per-leg budget T1 and leg
-    tolerance delta1/2; a leg stall fails with the leg index.  Everything
-    runs on the grid of ``p0``, and a given ``path`` must lie on it.
+    steps walk the steady-state path with leg tolerance delta1/2 and the
+    step budgets of :func:`_leg_budget` (per-leg budget T1, capped by the
+    time left); a leg stall fails with the leg index, and so does a walk
+    that runs out of time or whose last leg ends past T_max + 1e-9.
+    Everything runs on the grid of ``p0``, and a given ``path`` must lie
+    on it.
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
     geometry, n = p0.geometry, p0.n
     if path is not None and any(m.geometry != geometry or m.n != n for m in path.profiles):
         raise InvalidInput("invalid-path: the steady path is not on the grid of p0")
+    tol = delta1 / 2.0
 
     # Step 1: static zero control toward the trivial state
     st = _Stepper(geometry, n, drift, nl, dt)
     checks = st.checks(np.clip(p0.values, 0.0, 1.0), 0.0, max(1, int(round(T_max / dt))),
                        max(1, int(round(0.5 / dt))))
-    v = verdict(checks, 0.0, T_max, geometry, delta1 / 2.0)
+    v = verdict(checks, 0.0, T_max, geometry, tol)
+    vals, total, legs = v.residual_profile.values, v.time, []
+    # u = 0 was applied unless the start was already within tol
+    step1_controls = [] if total == 0.0 else [0.0]
+    stage, reason, error = None, None, math.inf
     if v.status == "blocked":
-        return StaircaseResult(False, T_max, stage="step1", reason="barrier-to-0",
-                               terminal_error=v.residual_sup, control_min=0.0, control_max=0.0,
-                               final=v.residual_profile)
-    vals, total = v.residual_profile.values, v.time
-    # u = 0 was applied unless the start was already within delta1/2
-    u_min, u_max = (0.0, 0.0) if total > 0.0 else (math.inf, -math.inf)
-
-    # Steps 2-3: walk the path of steady states
-    if path is None:
-        path = build_steady_path(nl, drift, geometry, K=9, delta=delta1 / 2.0, n_grid=n)
-    if not path.admissible:
-        return StaircaseResult(False, total, stage="path", reason="path-inadmissible",
-                               control_min=u_min, control_max=u_max, path=path)
-    legs = []
-    for i, target in enumerate(path.profiles[1:], start=1):
-        remaining = T_max - total
-        if remaining <= dt:
-            return StaircaseResult(False, total, stage=f"leg{i}", reason="budget-exhausted",
-                                   terminal_error=math.inf, legs=tuple(legs),
-                                   control_min=u_min, control_max=u_max, path=path)
-        vals, steps, used, ok, err, lo, hi = _run_leg(st, vals, target, gain,
-                                                      min(T1, remaining), delta1 / 2.0)
-        total += used
-        u_min, u_max = min(u_min, lo), max(u_max, hi)
-        legs.append(LegRecord(index=i, s_target=float(path.s_values[i]), steps=steps,
-                              duration=used, sup_error=err, control_min=lo, control_max=hi))
-        if not ok:
-            return StaircaseResult(False, total, stage=f"leg{i}", reason="leg-stall",
-                                   terminal_error=err, legs=tuple(legs),
-                                   control_min=u_min, control_max=u_max, path=path,
-                                   final=GridProfile(geometry, vals))
-    terminal = float(np.max(np.abs(vals - nl.theta)))
-    return StaircaseResult(True, total, terminal_error=terminal, legs=tuple(legs),
-                           control_min=u_min, control_max=u_max, path=path,
-                           final=GridProfile(geometry, vals))
+        total, stage, reason, error = T_max, "step1", "barrier-to-0", v.residual_sup
+    else:
+        # Steps 2-3: walk the path of steady states
+        if path is None:
+            path = build_steady_path(nl, drift, geometry, delta=tol, n_grid=n)
+        if not path.admissible:
+            stage, reason = "path", "path-inadmissible"
+        for i, target in enumerate(path.profiles[1:] if path.admissible else (), start=1):
+            n_steps = _leg_budget(T1, T_max - total, dt)
+            if n_steps == 0:
+                stage, reason = f"leg{i}", "budget-exhausted"
+                break
+            vals, leg = _run_leg(st, vals, target, n_steps, tol)
+            legs.append(leg)
+            total += leg.duration
+            if leg.sup_error > tol:
+                stage, reason, error = f"leg{i}", "leg-stall", leg.sup_error
+                break
+        if reason is None and total > T_max + 1e-9:  # the last leg ended past T_max
+            stage, reason = f"leg{len(legs)}", "budget-exhausted"
+        elif reason is None:
+            error = float(np.max(np.abs(vals - nl.theta)))
+    return StaircaseResult(
+        reason is None, total, stage=stage, reason=reason, terminal_error=error, legs=tuple(legs),
+        control_min=min(step1_controls + [leg.control_min for leg in legs], default=math.inf),
+        control_max=max(step1_controls + [leg.control_max for leg in legs], default=-math.inf),
+        path=path)
 
 
 @dataclass(frozen=True)
 class TargetVerdict:
-    target: float
     status: str                 # "converged" | "blocked" | "failure"
     time: Optional[float]
     witness: Optional[Barrier] = field(default=None, repr=False)
@@ -176,7 +176,7 @@ class TargetVerdict:
 
 def controllability_report(nl: BistableNonlinearity, drift: DriftField,
                            geometry: DomainGeometry, n: int, dt: float, T_max: float,
-                           delta1: float = 0.05, T1: float = 20.0) -> dict:
+                           delta1: float = _DELTA1, T1: float = 20.0) -> dict:
     """Verdicts for the three homogeneous targets with blocking witnesses.
 
     Targets 0 and 1 run static controls from the extreme data (p0 = 1,
@@ -196,22 +196,22 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
 
     v0 = asymptotic_verdict(ones, nl, drift, 0.0, T_max, dt)
     w0 = witness(find_barrier_zero) if v0.status == "blocked" else None
-    report["to_zero"] = TargetVerdict(0.0, v0.status, v0.time, w0, v0)
+    report["to_zero"] = TargetVerdict(v0.status, v0.time, w0, v0)
 
     v1 = asymptotic_verdict(zeros, nl, drift, 1.0, T_max, dt)
     w1 = witness(find_barrier_one) if v1.status == "blocked" else None
-    report["to_one"] = TargetVerdict(1.0, v1.status, v1.time, w1, v1)
+    report["to_one"] = TargetVerdict(v1.status, v1.time, w1, v1)
 
     sc = staircase_to_theta(ones, nl, drift, delta1=delta1, T1=T1, T_max=T_max, dt=dt)
     if sc.success:
-        report["to_theta"] = TargetVerdict(nl.theta, "converged", sc.total_time, None, sc)
+        report["to_theta"] = TargetVerdict("converged", sc.total_time, None, sc)
     else:
         wt = None
         if sc.reason == "barrier-to-0":
             wt = witness(find_barrier_zero)
         elif sc.reason in ("leg-stall", "path-inadmissible"):
             wt = witness(find_barrier_one)
-        report["to_theta"] = TargetVerdict(nl.theta, "blocked" if wt is not None else "failure",
+        report["to_theta"] = TargetVerdict("blocked" if wt is not None else "failure",
                                            None, wt, sc)
     return report
 
@@ -221,8 +221,8 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
                           n: int = 101, dt: float = 0.02) -> MinTimeResult:
     """Smallest feasible horizon on the grid for controlling 0 to theta.
 
-    A horizon T is feasible when the staircase (delta1 = 0.05, gain 1)
-    with per-leg budget T/n_legs and total budget T succeeds within T.
+    A horizon T is feasible when the staircase with per-leg budget
+    T/n_legs succeeds within T.
     The staircase runs once, at the largest horizon; every horizon is
     then decided exactly from its recorded legs (:func:`_fits`), so
     there is no bisection and feasibility is never assumed monotone in T.
@@ -234,7 +234,7 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
         raise InvalidInput("invalid-grid: horizons must be finite and positive")
     zeros = GridProfile(geometry, np.zeros(n))
     try:
-        path = build_steady_path(nl, drift, geometry, K=9, delta=0.025, n_grid=n)
+        path = build_steady_path(nl, drift, geometry, delta=_DELTA1 / 2.0, n_grid=n)
     except SolverFailure:
         return MinTimeResult(parameter=drift.sigma, T_min=math.inf,
                              strategy="staircase (path construction failed)")
@@ -251,12 +251,11 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
 
 def _fits(legs, T: float, n_legs: int, dt: float) -> bool:
     """Whether the staircase from 0 succeeds within horizon T, replayed from
-    the legs of a successful run at a larger horizon with the same floats
-    as staircase_to_theta's budget bookkeeping."""
+    the legs of a successful run at a larger horizon with the staircase's
+    own leg rule (:func:`_leg_budget`, success within T + 1e-9)."""
     total = 0.0
     for leg in legs:
-        remaining = T - total
-        if remaining <= dt or leg.steps > max(1, int(round(min(T / n_legs, remaining) / dt))):
+        if leg.steps > _leg_budget(T / n_legs, T - total, dt):
             return False
         total += leg.duration
     return total <= T + 1e-9
@@ -266,8 +265,6 @@ def mintime_scan(drift_family: str, sigma_grid, nl: BistableNonlinearity,
                  geometry: DomainGeometry, horizon_grid, n: int = 101,
                  dt: float = 0.02) -> list[MinTimeResult]:
     """One minimal-time search per drift intensity for a named family."""
-    if drift_family not in ("gauss_out", "gauss_in", "abs_exp", "sin"):
-        raise InvalidInput(f"invalid-family: {drift_family}")
     return [minimal_time_to_theta(nl, DriftField.radial(drift_family, sig), geometry,
                                   horizon_grid, n=n, dt=dt)
             for sig in np.asarray(sigma_grid, dtype=float)]

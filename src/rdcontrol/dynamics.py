@@ -78,14 +78,9 @@ class _Stepper:
             raise InvalidInput(f"dt-too-large: dt*||f'|| = {dt * M:.3g} >= 1 "
                                "breaks the monotone reaction bound")
         lower, diag, upper = assemble_operator(geometry, n, drift)
-        lo = -dt * lower
-        di = 1.0 - dt * diag
-        up = -dt * upper
-        # pinned rows (geometry.first_free): identity, the control on the right
-        self.first_free = first = geometry.first_free
-        lo[:first] = up[:first] = lo[-1] = up[-1] = 0.0
-        di[:first] = di[-1] = 1.0
-        self.factor = factor_tridiagonal(lo, di, up)
+        # the pinned rows of A are empty, so they are identity rows here
+        self.factor = factor_tridiagonal(-dt * lower, 1.0 - dt * diag, -dt * upper)
+        self.first_free = geometry.first_free
         self.dt = dt
         self.nl = nl
 

@@ -97,28 +97,34 @@ def _need(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, but no bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _num(spec: dict, key: str, ctx: str, default=None, cast=float):
     """spec[key] (default when absent and given) as a finite number of type
-    cast; InvalidInput names the key's path otherwise."""
+    cast, integral when cast is int; InvalidInput names the key's path
+    otherwise."""
     name = f"{ctx}.{key}" if ctx else key
     value = _need(spec, key, ctx or "scenario") if default is None else spec.get(key, default)
     try:
-        x = cast(value)
-        if not math.isfinite(x):
-            raise ValueError
-        return x
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"invalid-scenario: {name} must be a finite number, "
-                           f"got {value!r}") from None
+        if _is_number(value) and math.isfinite(value) and (cast is float or value == int(value)):
+            return cast(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    integral = " with an integral value" if cast is int else ""
+    raise InvalidInput(f"invalid-scenario: {name} must be a finite number{integral}, "
+                       f"got {value!r}")
 
 
 def boundary_value(spec: dict, ctx: str) -> int:
     """spec["boundary"] (default 0), a barrier's constant boundary value:
-    0 or 1; InvalidInput names the key's path otherwise."""
-    bv = _num(spec, "boundary", ctx, 0.0)
-    if bv not in (0.0, 1.0):
+    the number 0 or 1; InvalidInput names the key's path otherwise."""
+    bv = spec.get("boundary", 0)
+    if not _is_number(bv) or bv not in (0, 1):
         name = f"{ctx}.boundary" if ctx else "boundary"
-        raise InvalidInput(f"invalid-scenario: {name} must be 0 or 1, got {spec['boundary']!r}")
+        raise InvalidInput(f"invalid-scenario: {name} must be 0 or 1, got {bv!r}")
     return int(bv)
 
 
@@ -201,9 +207,7 @@ def _check_targets(targets) -> None:
     for i, entry in enumerate(targets):
         pair = isinstance(entry, (list, tuple))
         values = entry if pair else [entry]
-        if (pair and len(entry) != 2) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
-                for v in values):
+        if (pair and len(entry) != 2) or not all(_is_number(v) and 0.0 <= v <= 1.0 for v in values):
             raise InvalidInput(f"invalid-scenario: targets[{i}] must be a number in [0, 1] "
                                f"or an [a, p0] pair of such numbers, got {entry!r}")
 

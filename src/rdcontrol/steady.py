@@ -54,14 +54,10 @@ NONTRIVIAL_MARGIN = 0.1  # sup distance from the constant boundary state
 class RadialTrajectory:
     """Output of the shooting integrator: samples of (r, p, p')."""
 
-    sigma: float
-    alpha: float
-    d: int
     r: np.ndarray
     p: np.ndarray
     v: np.ndarray
     events: dict
-    blow_up: bool
     exit_reason: str
 
 
@@ -182,7 +178,6 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
     r, p, v = r0, ps[-1], vs[-1]
     h_cur = h_max
     exit_reason = "r-max"
-    blow_up = False
     h_floor = h_max * 1e-8
     while r < r_max:
         h_step = min(h_cur, r_max - r)
@@ -216,12 +211,10 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
             break
         if abs(v) > _V_LIMIT:
             exit_reason = "blow-up"
-            blow_up = True
             break
 
-    return RadialTrajectory(sigma=sigma, alpha=alpha, d=d,
-                            r=np.asarray(rs), p=np.asarray(ps), v=np.asarray(vs),
-                            events=events, blow_up=blow_up, exit_reason=exit_reason)
+    return RadialTrajectory(r=np.asarray(rs), p=np.asarray(ps), v=np.asarray(vs),
+                            events=events, exit_reason=exit_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +379,22 @@ def find_barrier_zero(nl: BistableNonlinearity, drift: DriftField,
 # the steady-state path
 # ---------------------------------------------------------------------------
 
+_FIRST_MEMBERS = 9   # members of the uniform s-grid that path refinement starts from
 _MAX_MEMBERS = 1024  # path refinement beyond this raises continuation-failure
 
 
 def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
-                      geometry: DomainGeometry, K: int = 9, delta: float = 0.05,
+                      geometry: DomainGeometry, delta: float = 0.05,
                       n_grid: int = 401) -> SteadyPath:
     """Discrete path of steady states from ~0 to the Allee constant.
 
     Members are the columns marched from the centre value s*theta, one
-    lane per s, on an s-grid that is refined until consecutive sup-gaps
-    stay below ``delta`` (at most _MAX_MEMBERS members); each column is
-    an exact discrete steady state and keeps its last node as the pinned
-    boundary trace under the Newton polish.
+    lane per s, on an s-grid of _FIRST_MEMBERS uniform values that is
+    refined until consecutive sup-gaps stay below ``delta`` (at most
+    _MAX_MEMBERS members); each column is an exact discrete steady state
+    and keeps its last node as the pinned boundary trace under the Newton
+    polish.
     """
-    if K < 2:
-        raise InvalidInput("invalid-scalar: K must be >= 2")
     if delta <= 0.0:
         raise InvalidInput("invalid-scalar: delta must be positive")
     ops = assemble_operator(geometry, n_grid, drift)
@@ -413,7 +406,7 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
         return [GridProfile(geometry, newton_steady(geometry, ops, nl, col, col[-1])[0])
                 for col in _unfold(geometry, n_grid, half).T]
 
-    s_values = list(np.linspace(0.0, 1.0, K))
+    s_values = list(np.linspace(0.0, 1.0, _FIRST_MEMBERS))
     profiles = dict(zip(s_values, members(s_values)))
     while True:
         inserts = []

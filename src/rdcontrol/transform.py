@@ -119,13 +119,10 @@ class _CnAb2:
         self.exp_lo = 0.5 * dt * lower
         self.exp_di = 1.0 + 0.5 * dt * diag
         self.exp_up = 0.5 * dt * upper
-        imp_lo = -0.5 * dt * lower
-        imp_di = 1.0 - 0.5 * dt * diag
-        imp_up = -0.5 * dt * upper
-        self.first_free = first = geometry.first_free
-        imp_lo[:first] = imp_up[:first] = imp_lo[-1] = imp_up[-1] = 0.0
-        imp_di[:first] = imp_di[-1] = 1.0
-        self.factor = factor_tridiagonal(imp_lo, imp_di, imp_up)
+        # the pinned rows of A are empty, so they are identity rows here
+        self.factor = factor_tridiagonal(-0.5 * dt * lower, 1.0 - 0.5 * dt * diag,
+                                         -0.5 * dt * upper)
+        self.first_free = geometry.first_free
         self.dt = dt
 
     def advance(self, vals, g_now, g_prev, u):

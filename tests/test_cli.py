@@ -261,7 +261,7 @@ class TestCommands:
         svg = (tmp_path / "o" / "barrier_0_phase.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    @pytest.mark.parametrize("boundary", [2, 0.6, -1, "1.5"])
+    @pytest.mark.parametrize("boundary", [2, 0.6, -1, "1.5", True])
     def test_barriers_boundary_other_than_0_or_1_exit_2(self, tmp_path, capsys, boundary):
         sc = _write_scenario(tmp_path, {"preset": "fig5_strong", "boundary": boundary})
         assert main(["barriers", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
@@ -481,7 +481,13 @@ class TestCommands:
         ({"n": "abc"}, "n must be a finite number"),
         ({"dt": "x"}, "dt must be a finite number"),
         ({"drift": {"kind": "infection", "family": "affine", "a": 1, "b": 1}},
-         "reads no drift, got drift.kind 'infection'")])
+         "reads no drift, got drift.kind 'infection'"),
+        # only JSON numbers, and an integer key takes no fraction
+        ({"n": "64"}, "n must be a finite number"),
+        ({"n": 100.9}, "n must be a finite number with an integral value, got 100.9"),
+        ({"seed": 1.5}, "seed must be a finite number with an integral value"),
+        ({"domain": {"kind": "ball", "R": 2, "d": 2.5}},
+         "domain.d must be a finite number with an integral value")])
     def test_exit_code_bad_mintime_values(self, tmp_path, capsys, block, message):
         sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5], **block})
         assert main(["preset", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2

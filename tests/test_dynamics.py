@@ -105,7 +105,7 @@ class TestInvariants:
     def test_steady_path_members_are_fixed_points(self, nl033, homog, interval_1):
         from rdcontrol.steady import build_steady_path
 
-        path = build_steady_path(nl033, homog, interval_1, K=5, delta=0.1, n_grid=101)
+        path = build_steady_path(nl033, homog, interval_1, delta=0.1, n_grid=101)
         member = path.profiles[len(path) // 2]
         trace = float(member.values[0])
         vals = hold(_Stepper(interval_1, 101, homog, nl033, 0.02), member.values, trace, 100)

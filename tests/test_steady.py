@@ -312,7 +312,7 @@ def _max_gap(path) -> float:
 
 class TestSteadyPath:
     def test_homogeneous_path(self, nl033, homog, interval_1):
-        path = build_steady_path(nl033, homog, interval_1, K=9, delta=0.05, n_grid=101)
+        path = build_steady_path(nl033, homog, interval_1, delta=0.05, n_grid=101)
         assert 2 <= len(path) <= 64
         assert path.admissible
         assert path.max_residual < 1e-6
@@ -324,7 +324,7 @@ class TestSteadyPath:
         # N = e^{r^2/2} satisfies A1, so the path stays within [0, 1]
         geom = DomainGeometry.ball(1.0, 2)
         path = build_steady_path(nl033, DriftField.radial("gauss_in", 1.0), geom,
-                                 K=9, delta=0.05, n_grid=101)
+                                 delta=0.05, n_grid=101)
         assert path.admissible
         assert path.max_residual < 1e-6
 
@@ -340,14 +340,14 @@ class TestSteadyPath:
 
         monkeypatch.setattr(steady, "newton_steady", spy)
         for drift in (homog, DriftField.radial("gauss_in", 2.5), DriftField.radial("gauss_out", 4.0)):
-            path = build_steady_path(nl033, drift, interval_25, K=9, delta=0.025, n_grid=101)
+            path = build_steady_path(nl033, drift, interval_25, delta=0.025, n_grid=101)
             assert len(seed_residuals) == len(path)
             assert max(seed_residuals) <= 1e-9
             seed_residuals.clear()
 
     def test_member_agrees_with_shooting_homogeneous(self, nl033, homog):
         # the marched member against the continuous shot from its centre value
-        path = build_steady_path(nl033, homog, DomainGeometry.interval(2.0), K=3, delta=1.0,
+        path = build_steady_path(nl033, homog, DomainGeometry.interval(2.0), delta=1.0,
                                  n_grid=401)
         member = path.profiles[list(path.s_values).index(0.5)]
         half = member.values[200:]
@@ -390,7 +390,7 @@ class TestErrorContracts:
 
         with pytest.raises(SolverFailure, match="stiff-failure"):
             build_steady_path(nl033, DriftField.radial("gauss_out", 0.08), interval_25,
-                              K=9, delta=0.025, n_grid=101)
+                              delta=0.025, n_grid=101)
 
     def test_invalid_alpha(self, nl033, gauss_out):
         from rdcontrol.errors import InvalidInput
@@ -401,8 +401,6 @@ class TestErrorContracts:
     def test_bad_path_parameters(self, nl033, homog, interval_1):
         from rdcontrol.errors import InvalidInput
 
-        with pytest.raises(InvalidInput, match="invalid-scalar"):
-            build_steady_path(nl033, homog, interval_1, K=1)
         with pytest.raises(InvalidInput, match="invalid-scalar"):
             build_steady_path(nl033, homog, interval_1, delta=0.0)
         infection = DriftField.infection(lambda p: 1.0 + np.asarray(p, dtype=float))
