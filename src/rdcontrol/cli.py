@@ -40,19 +40,19 @@ def _load_raw(args) -> dict:
 
 def _overrides(args) -> dict:
     out = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         out["n"] = args.grid
     if getattr(args, "seed", None) is not None:
         out["seed"] = args.seed
-    if getattr(args, "family", None):
+    if getattr(args, "family", None) is not None:
         out["family"] = args.family
-    if getattr(args, "sigmas", None):
+    if getattr(args, "sigmas", None) is not None:
         try:
             out["sigmas"] = [float(s) for s in args.sigmas.split(",")]
         except ValueError:
             raise InvalidInput(f"invalid-scenario: --sigmas must be comma-separated "
                                f"numbers, got {args.sigmas!r}") from None
-    if getattr(args, "experiment", None):
+    if getattr(args, "experiment", None) is not None:
         out["experiment"] = args.experiment
     return out
 

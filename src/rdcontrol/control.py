@@ -65,7 +65,6 @@ class StaircaseResult:
     legs: tuple = ()
     control_min: float = math.inf
     control_max: float = -math.inf
-    path: Optional[SteadyPath] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,7 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     return StaircaseResult(
         reason is None, total, stage=stage, reason=reason, terminal_error=error, legs=tuple(legs),
         control_min=min(step1_controls + [leg.control_min for leg in legs], default=math.inf),
-        control_max=max(step1_controls + [leg.control_max for leg in legs], default=-math.inf),
-        path=path)
+        control_max=max(step1_controls + [leg.control_max for leg in legs], default=-math.inf))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,14 @@ than its own definition, and against ``tests/test_acceptance.py``.  A
 statement is a top-level statement or, inside a class, its header (bases
 and decorators) or one statement of its body.
 
-The package's only scipy import is ``scipy.linalg.lapack`` (the tridiagonal
-``dgttrf``/``dgttrs``): Simpson quadrature and PCHIP live in
-``rdcontrol.numerics``, so loading the package costs no ``scipy.integrate``,
-``scipy.interpolate`` or ``scipy.special``.  The import scan reads every
-``import`` and ``from ... import`` statement of ``src/rdcontrol`` at any
-nesting, function bodies included.
+The package's only scipy import is ``scipy.linalg.lapack`` inside
+``elliptic._scipy_lapack``, the fallback for a numpy that bundles no
+OpenBLAS: the tridiagonal ``dgttrf``/``dgttrs`` come from numpy's own
+OpenBLAS, and Simpson quadrature and PCHIP live in ``rdcontrol.numerics``.
+The import scan reads every ``import`` and ``from ... import`` statement
+of ``src/rdcontrol`` at any nesting, function bodies included.  Where
+numpy bundles the library, a fresh interpreter that imports every module
+of the package must have loaded no scipy module at all.
 
 A profile carries its geometry and its node count, so no public function
 or method takes a ``GridProfile`` parameter together with a
@@ -38,8 +40,16 @@ and names.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
+
+from rdcontrol import elliptic
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rdcontrol"
@@ -198,37 +208,67 @@ def test_every_public_definition_is_reached():
 
 
 ALLOWED_SCIPY = "scipy.linalg.lapack"
+FALLBACK = ("elliptic", "_scipy_lapack")  # (module, function) that may import it
 
 
-def _scipy_imports(source: str) -> list:
+def _scipy_imports(source: str, fallback: str = "") -> list:
     """(line, module) of each import in ``source``, at any nesting, that
-    loads a scipy module other than ``scipy.linalg.lapack``."""
+    loads a scipy module, except ``scipy.linalg.lapack`` inside the
+    function named ``fallback``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == fallback
+               for node in ast.walk(func)}
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules = [node.module]
         else:
             continue
-        found += [(node.lineno, m) for m in modules
-                  if (m == "scipy" or m.startswith("scipy.")) and m != ALLOWED_SCIPY]
+        found += [(node.lineno, m) for m in modules if (m == "scipy" or m.startswith("scipy."))
+                  and not (m == ALLOWED_SCIPY and id(node) in allowed)]
     return sorted(found)
 
 
 def test_the_import_scan_reads_nested_imports():
-    source = ("import numpy\nfrom scipy.linalg.lapack import dgttrf\nimport scipy.linalg.lapack\n"
+    source = ("import numpy\nfrom scipy.linalg.lapack import dgttrf\n"
+              "def fallback():\n    import scipy.linalg.lapack\n"
               "def f():\n    from scipy.integrate import simpson\n"
               "    import scipy.interpolate as si, scipy\nfrom .numerics import Pchip\n"
-              "from scipy import special\nimport scipyx\n")
-    assert _scipy_imports(source) == [(5, "scipy.integrate"), (6, "scipy"),
-                                      (6, "scipy.interpolate"), (8, "scipy")]
+              "from scipy import special\nimport scipyx\n"
+              "def g():\n    from scipy.linalg.lapack import dgttrs\n")
+    assert _scipy_imports(source, "fallback") == [
+        (2, "scipy.linalg.lapack"), (6, "scipy.integrate"), (7, "scipy"),
+        (7, "scipy.interpolate"), (9, "scipy"), (12, "scipy.linalg.lapack")]
 
 
 def test_the_only_scipy_import_is_lapack():
     found = [f"{path.name}:{line} {module}" for path in sorted(PACKAGE.glob("*.py"))
-             for line, module in _scipy_imports(path.read_text())]
-    assert not found, f"scipy imports other than {ALLOWED_SCIPY}: {found}"
+             for line, module in _scipy_imports(
+                 path.read_text(), FALLBACK[1] if path.stem == FALLBACK[0] else "")]
+    assert not found, f"scipy imports other than {ALLOWED_SCIPY} in {'.'.join(FALLBACK)}: {found}"
+
+
+_IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+import rdcontrol
+for info in pkgutil.iter_modules(rdcontrol.__path__):
+    importlib.import_module("rdcontrol." + info.name)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.skipif(elliptic._DGTTRF is None, reason="numpy bundles no OpenBLAS here")
+def test_importing_the_package_loads_no_scipy():
+    # a fresh interpreter, so an import that brings scipy.linalg back fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_ALL], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == []
 
 
 GRID_COUNTS = ("n", "n_grid")

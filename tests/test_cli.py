@@ -494,10 +494,18 @@ class TestCommands:
         assert message in capsys.readouterr().err
 
     def test_exit_code_bad_sigmas_flag(self, tmp_path, capsys):
-        sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in"})
-        assert main(["mintime", "--scenario", sc, "--sigmas", "1,x",
+        sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5]})
+        for sigmas in ("1,x", ""):  # an empty flag is checked, not dropped
+            assert main(["mintime", "--scenario", sc, "--sigmas", sigmas,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "--sigmas must be comma-separated numbers" in capsys.readouterr().err
+
+    def test_exit_code_zero_grid_flag(self, tmp_path, capsys):
+        # a falsy --grid is range-checked, not dropped for the scenario's n
+        sc = _write_scenario(tmp_path, {"preset": "eigen_demo"})
+        assert main(["preset", "--scenario", sc, "--grid", "0",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "--sigmas must be comma-separated numbers" in capsys.readouterr().err
+        assert "n=0 outside [16, 100001]" in capsys.readouterr().err
 
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -580,6 +588,7 @@ class TestInitialProfile:
 _IMPORT_SET = """
 import importlib, json, pkgutil, sys
 import rdcontrol
+from rdcontrol import elliptic
 from rdcontrol.cli import main
 for info in pkgutil.iter_modules(rdcontrol.__path__):
     importlib.import_module("rdcontrol." + info.name)
@@ -588,7 +597,9 @@ codes = [main(["preset", "energy_demo", "--out", out + "/energy"]),
          main(["preset", "transform_check", "--out", out + "/transform"]),
          main(["eigen", "--scenario", tabulated, "--out", out + "/eigen"])]
 print(json.dumps({"codes": codes, "loaded": sorted(
-    m for m in ("scipy.integrate", "scipy.interpolate", "scipy.special") if m in sys.modules)}))
+    m for m in ("scipy.integrate", "scipy.interpolate", "scipy.special") if m in sys.modules),
+    "bundled": elliptic._DGTTRF is not None,
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
@@ -607,4 +618,6 @@ def test_no_run_loads_scipy_quadrature_interpolation_or_special(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "loaded": []}
+    assert result["codes"] == [0, 0, 0] and result["loaded"] == []
+    if result["bundled"]:  # LAPACK from numpy's own OpenBLAS: no scipy at all
+        assert result["scipy"] == []

@@ -3,8 +3,15 @@
 ``factor_tridiagonal`` runs LAPACK dgttrf once and ``solve_tridiagonal``
 runs dgttrs with that factor for each right-hand side; ``solve_banded((1, 1), ...)`` runs dgtsv, which does the same
 partial-pivoting elimination in one call.  The answers must agree bit for
-bit on every matrix the program factors.
+bit on every matrix the program factors.  The scipy fallback, which runs
+where numpy bundles no OpenBLAS, must give the bundled library's bits.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from scipy.linalg import solve_banded
 from rdcontrol.dynamics import _Stepper
 from rdcontrol.elliptic import assemble_operator, factor_tridiagonal, solve_tridiagonal
 from rdcontrol.errors import SolverFailure
-from rdcontrol.model import DomainGeometry
+from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField
 from rdcontrol.scenario import load_scenario
 from rdcontrol.steady import find_barrier_zero
 
@@ -35,6 +42,32 @@ def stepper_matrix(geometry, n, drift, dt):
     if geometry.kind != "ball":
         lo[0], di[0], up[0] = 0.0, 1.0, 0.0
     return lo, di, up
+
+
+def singular_case():
+    """dgttrf's info and the solve's SolverFailure message for a singular
+    matrix (its rows 0 and 1 are equal)."""
+    factor = factor_tridiagonal(np.array([0.0, 1.0, 1.0, 1.0]), np.ones(4),
+                                np.array([1.0, 0.0, 1.0, 0.0]))
+    with pytest.raises(SolverFailure) as failure:
+        solve_tridiagonal(factor, np.ones(4))
+    return int(factor.info), str(failure.value)
+
+
+def factor_cases() -> list:
+    """The stepper factors of an interval and a d = 2 ball at n = 101 and
+    513 (pivots as int64), each followed by its solutions for three
+    right-hand sides."""
+    nl, drift = BistableNonlinearity.cubic(0.33), DriftField.radial("gauss_out", 1.0)
+    arrays = []
+    for geometry in (DomainGeometry.interval(2.5), DomainGeometry.ball(2.5, 2)):
+        for n in (101, 513):
+            factor = _Stepper(geometry, n, drift, nl, 0.02).factor
+            arrays += [factor.dl, factor.d, factor.du, factor.du2,
+                       factor.ipiv.astype(np.int64), np.array([factor.info])]
+            rng = np.random.default_rng(n)
+            arrays += [solve_tridiagonal(factor, rng.uniform(-1.0, 1.0, n)) for _ in range(3)]
+    return arrays
 
 
 def assert_steps_match_banded(geometry, n, drift, nl, dt, u_left, u_right, steps=50):
@@ -105,11 +138,48 @@ class TestFailures:
         with pytest.raises(SolverFailure, match="non-finite"):
             solve_tridiagonal(factor, rhs)
 
+    def test_mismatched_bands(self):
+        # checked before LAPACK reads n - 1 values from each off-diagonal
+        with pytest.raises(ValueError):
+            factor_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4))
+
     def test_singular_matrix(self):
-        lower = np.array([0.0, 1.0, 1.0, 1.0])
-        diag = np.array([1.0, 1.0, 1.0, 1.0])
-        upper = np.array([1.0, 0.0, 1.0, 0.0])  # rows 0 and 1 are equal
-        factor = factor_tridiagonal(lower, diag, upper)
-        assert factor.info != 0
-        with pytest.raises(SolverFailure, match="singular"):
-            solve_tridiagonal(factor, np.ones(4))
+        info, message = singular_case()
+        assert info != 0
+        assert "singular" in message
+
+
+# A fresh interpreter in which the lookup of numpy's OpenBLAS finds nothing,
+# so rdcontrol.elliptic falls back to scipy.linalg.lapack.
+_FALLBACK = """
+import glob, json, sys
+find = glob.glob
+glob.glob = lambda pattern, **kw: [] if "openblas" in pattern else find(pattern, **kw)
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import test_elliptic
+from rdcontrol import elliptic
+np.savez(sys.argv[2], *test_elliptic.factor_cases())
+print(json.dumps({"bundled": elliptic._DGTTRF is not None,
+                  "singular": test_elliptic.singular_case(),
+                  "lapack": "scipy.linalg.lapack" in sys.modules}))
+"""
+
+
+def test_scipy_fallback_gives_the_bundled_bits(tmp_path):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    saved = tmp_path / "fallback.npz"
+    run = subprocess.run([sys.executable, "-c", _FALLBACK, str(here), str(saved)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result == {"bundled": False, "singular": list(singular_case()), "lapack": True}
+    assert result["singular"][0] != 0
+    with np.load(saved) as fallback:
+        expected = factor_cases()
+        assert len(fallback.files) == len(expected)
+        for i, array in enumerate(expected):
+            got = fallback[f"arr_{i}"]
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), f"array {i}"
