@@ -7,8 +7,13 @@ discrete scheme.  Row i of A p + f(p) = 0 is the recurrence
 p_{i+1} = -(lower_i p_{i-1} + diag_i p_i + f(p_i)) / upper_i with
 upper_i > 0 (A is an M-matrix), so the centre value alpha and the
 symmetric centre row fix a profile.  The march runs outward for many
-alpha lanes at once.  For a barrier every edge of the feasible alpha set
-is multisected (Keller 1968) and a Newton solve pins the boundary node;
+alpha lanes at once, 16 rows at a time: after each block every
+undecided lane is decided at its first row that meets the target or
+turns away from it (with no target, leaves |p| <= 5), and decided lanes
+leave the march.  A lane's reach is the node where it met the target;
+a kept column holds a lane's nodes up to its decision and its value
+there past it.  For a barrier every edge of the feasible alpha set is
+multisected (Keller 1968) and a Newton solve pins the boundary node;
 the march is the whole search, because its columns are exact discrete
 steady states (the projected-gradient minimizer of ``rdcontrol.energy``,
 a test oracle, reaches the same boundary-0 barriers).  A path member is
@@ -161,7 +166,7 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
     if r_max <= 0.0 or h <= 0.0:
         raise InvalidInput("invalid-scalar: r_max and h must be positive")
     sigma = drift.sigma
-    h_max = min(h, 1e-3 * r_max if 1e-3 * r_max > 0 else h, sigma / 10.0)
+    h_max = min(h, 1e-3 * r_max, sigma / 10.0)
     h_max = max(h_max, 1e-9)
     rhs = _rhs_factory(nl, drift, d)
     theta = nl.theta
@@ -186,7 +191,7 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
         p_half, v_half = _rk4(rhs, r + 0.5 * h_step, p_h, v_h, 0.5 * h_step)
         err = max(abs(p_full - p_half), abs(v_full - v_half)) / 15.0
         scale = max(1.0, abs(p), abs(v))
-        if not np.isfinite(err) or err > 1e-10 * scale:
+        if not math.isfinite(err) or err > 1e-10 * scale:
             h_cur = 0.5 * h_step
             if h_cur < h_floor:
                 raise SolverFailure(
@@ -225,6 +230,7 @@ _LANES = 31          # multisection points per feasibility edge and round
 _ALPHA_RTOL = 1e-10  # relative width at which an edge of the alpha scan is resolved
 _MONO_TOL = 1e-12    # node-to-node step away from the target still counted as monotone
 _P_MAX = 5.0         # a lane stops once |p| exceeds this: it has left every admissible range
+_BLOCK = 16          # rows marched between two decisions on the undecided lanes
 
 
 def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas,
@@ -232,14 +238,21 @@ def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas,
     """March the steady rows of ``ops = (lower, diag, upper)`` outward from
     the centre, one lane per centre value in ``alphas``.
 
-    Returns ``(reach, column)``.  ``reach[k]`` is the first node, counted
-    from the centre, where lane k meets ``target`` having moved
-    monotonically toward it, and n when it never does by the boundary
-    node; a lane stops once decided.  Without a ``target`` every lane
-    runs to the boundary node, unless it stops where |p| first exceeds
-    _P_MAX and keeps that value.  With ``keep`` ``column`` holds the
-    marched nodes, one row per node from the centre outward and one
-    column per lane, else it is None; a scan carries only two rows.
+    Returns ``(reach, column)``.  A lane is decided at the first node,
+    counted from the centre, where it meets ``target`` or steps away from
+    it by more than _MONO_TOL; without a ``target``, where |p| first
+    exceeds _P_MAX.  ``reach[k]`` is that node when lane k met the
+    target there, and n when it never does by the boundary node.  With
+    ``keep`` ``column`` holds the marched nodes, one row per node from
+    the centre outward and one column per lane, up to the last decision
+    (or the boundary node); a lane's rows past its decision hold its
+    value there.  Without ``keep`` it is None.
+
+    The undecided lanes march _BLOCK rows at a time and are decided once
+    per block, at their first deciding row; decided lanes leave the
+    march.  A live lane is bounded by its start and its target, or by
+    _P_MAX, so its rows read the unchecked ``nl._f_values``.  The rows a
+    lane marches past its decision are never read (they may overflow).
     """
     lower, diag, upper = ops
     n = lower.size
@@ -248,26 +261,56 @@ def _march(nl: BistableNonlinearity, geometry: DomainGeometry, ops, alphas,
         a, b = lower[s] + diag[s], upper[s]  # nodes s-1 and s mirror each other
     else:
         a, b = diag[s], lower[s] + upper[s]  # p_{s-1} = p_{s+1}; lower[0] = 0 in a ball
-    prev = np.asarray(alphas, dtype=float)
-    cur = -(a * prev + nl.f(prev)) / b
-    reach = np.full(prev.size, n)
-    live = np.ones(prev.size, dtype=bool)
-    column = [prev, cur]
+    alphas = np.asarray(alphas, dtype=float)
+    last = n - 1 - s  # the boundary node, counted from the centre
+    reach = np.full(alphas.size, n)
+    stop = np.full(alphas.size, last)  # decision node of each lane
     sign = 1.0 if target is None or target > 0.5 else -1.0
-    for i in range(s + 1, n):
-        if target is not None:
-            hit = live & (sign * (cur - target) >= 0.0)
-            reach[hit] = i - s
-            live &= ~hit & (sign * (cur - prev) >= -_MONO_TOL)
-        else:
-            live &= np.abs(cur) <= _P_MAX
-        if i == n - 1 or not live.any():
-            break
-        nxt = -(lower[i] * prev + diag[i] * cur + nl.f(cur)) / upper[i]
-        prev, cur = cur, np.where(live, nxt, cur)  # stopped lanes stay frozen
-        if keep:
-            column.append(cur)
-    return reach, (np.stack(column) if keep else None)
+    rows = np.empty((_BLOCK + 2, alphas.size))  # nodes j - 1 .. j + _BLOCK of the live lanes
+    rows[0] = alphas
+    rows[1] = -(a * alphas + nl.f(alphas)) / b
+    column = np.empty((last + 1, alphas.size)) if keep else None
+    if keep:
+        column[:2] = rows[:2]
+    lo, di, neg_up = lower.tolist(), diag.tolist(), (-upper).tolist()
+    live = np.arange(alphas.size)
+    j = 1  # node held in rows[1], not yet decided
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            m = min(_BLOCK, last - j)
+            buf = rows[:m + 2, :live.size]
+            for k in range(m):
+                i = s + j + k
+                t = np.multiply(lo[i], buf[k], out=buf[k + 2])
+                t += di[i] * buf[k + 1]
+                t += nl._f_values(buf[k + 1])
+                t /= neg_up[i]
+            if keep:
+                column[j + 1:j + m + 1, live] = buf[2:]
+            end = j + m == last
+            cur = buf[1:m + 1 + end]  # nodes j .. j + m - 1, and the boundary node at the end
+            # the keep-going tests negated, so that a NaN row decides its lane
+            if target is None:
+                decided = ~(np.abs(cur) <= _P_MAX)
+            else:
+                hit = sign * (cur - target) >= 0.0
+                decided = hit | ~(sign * (cur - buf[:len(cur)]) >= -_MONO_TOL)
+            first = decided.argmax(axis=0)
+            lanes = np.arange(live.size)
+            done = decided[first, lanes]
+            stop[live[done]] = j + first[done]
+            if target is not None:
+                met = done & hit[first, lanes]
+                reach[live[met]] = j + first[met]
+            if end:
+                break
+            live = live[~done]
+            rows[:2, :live.size] = buf[m:, ~done]
+            j += m
+    if keep:
+        column = np.take_along_axis(column, np.minimum(np.arange(stop.max() + 1)[:, None], stop),
+                                    axis=0)
+    return reach, column
 
 
 def _unfold(geometry: DomainGeometry, n: int, half: np.ndarray) -> np.ndarray:

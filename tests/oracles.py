@@ -102,3 +102,36 @@ def interval_lambda1(L: float) -> float:
 
 def ball_lambda1_d3(R: float) -> float:
     return (math.pi / R) ** 2
+
+
+def reference_march(nl, geometry, ops, alphas, target=None, keep=False):
+    """The barrier march one row at a time, with the checked ``nl.f`` and
+    one decision per row: the form ``rdcontrol.steady._march`` had before
+    it marched blocks of rows.  Same arguments and results."""
+    lower, diag, upper = ops
+    n = lower.size
+    s = 0 if geometry.kind == "ball" else n // 2
+    if geometry.kind == "interval" and n % 2 == 0:
+        a, b = lower[s] + diag[s], upper[s]
+    else:
+        a, b = diag[s], lower[s] + upper[s]
+    prev = np.asarray(alphas, dtype=float)
+    cur = -(a * prev + nl.f(prev)) / b
+    reach = np.full(prev.size, n)
+    live = np.ones(prev.size, dtype=bool)
+    column = [prev, cur]
+    sign = 1.0 if target is None or target > 0.5 else -1.0
+    for i in range(s + 1, n):
+        if target is not None:
+            hit = live & (sign * (cur - target) >= 0.0)
+            reach[hit] = i - s
+            live &= ~hit & (sign * (cur - prev) >= -1e-12)
+        else:
+            live &= np.abs(cur) <= 5.0
+        if i == n - 1 or not live.any():
+            break
+        nxt = -(lower[i] * prev + diag[i] * cur + nl.f(cur)) / upper[i]
+        prev, cur = cur, np.where(live, nxt, cur)  # stopped lanes stay frozen
+        if keep:
+            column.append(cur)
+    return reach, (np.stack(column) if keep else None)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import F_quad, homogeneous_critical_length, rk4_fixed
+from oracles import F_quad, homogeneous_critical_length, reference_march, rk4_fixed
 from rdcontrol.elliptic import assemble_operator, steady_residual
 from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField
 from rdcontrol.steady import (
@@ -287,6 +288,93 @@ class TestDiscreteSearch:
                 finder(nl033, drift, DomainGeometry.interval(1.0))
         with pytest.raises(InvalidInput, match="transform-check"):
             shoot_radial(nl033, drift, 0.5, 1, 1.0, 1e-3)
+
+
+def _assert_same_march(nl, geometry, ops, alphas, target):
+    """The block march and the per-row reference agree bit for bit, on the
+    reach of a scan and on the columns of a kept march."""
+    from rdcontrol import steady
+
+    reach, _ = steady._march(nl, geometry, ops, alphas, target)
+    ref_reach, ref_column = reference_march(nl, geometry, ops, alphas, target, keep=True)
+    kept_reach, column = steady._march(nl, geometry, ops, alphas, target, keep=True)
+    assert np.array_equal(reach, ref_reach) and np.array_equal(kept_reach, ref_reach)
+    assert column.shape == ref_column.shape
+    assert np.array_equal(column.view(np.int64), ref_column.view(np.int64))
+    return reach, column
+
+
+class TestBlockMarch:
+    # the per-row reference calls the checked nl.f on every live lane and
+    # every frozen one, so agreement also shows that no lane meets a
+    # non-finite value before its decision
+    @given(theta=st.floats(0.30, 0.36), sigma=st.floats(0.5, 2.0),
+           n=st.sampled_from([200, 201, 401, 801]),
+           family=st.sampled_from(["gauss_out", "gauss_in", "abs_exp", "sin"]),
+           ball=st.booleans(), target=st.sampled_from([0.0, 1.0, None]))
+    def test_matches_the_per_row_reference(self, theta, sigma, n, family, ball, target):
+        from rdcontrol import steady
+
+        nl = BistableNonlinearity.cubic(theta)
+        geometry = DomainGeometry.ball(2.5, 3) if ball else INTERVAL
+        ops = assemble_operator(geometry, n, DriftField.radial(family, sigma))
+        if target is None:
+            _assert_same_march(nl, geometry, ops, np.linspace(0.0, 1.0, 9) * theta, None)
+            return
+        if target == 1.0:
+            alphas = np.geomspace(1e-12, theta * (1.0 - 1e-9), 24)
+        else:
+            alphas = np.linspace(theta + 0.01, 1.0 - 1e-6, 24)
+        # lanes on both sides of each edge of the scan: those that meet
+        # the target only at the boundary node, and those that never do
+        feasible = steady._march(nl, geometry, ops, alphas, target)[0] < n
+        edges = steady._edges(nl, geometry, ops, alphas, feasible, target)
+        near = np.multiply.outer(edges, 1.0 + 4e-10 * np.linspace(-1.0, 1.0, 9)).ravel()
+        reach = _assert_same_march(nl, geometry, ops, np.append(alphas, near), target)[0]
+        boundary = n - 1 - (0 if ball else n // 2)  # counted from the centre
+        assert not edges or np.any(reach == boundary)
+
+    def test_path_lanes_past_p_max(self, nl033, interval_25):
+        # the stiff path case: lanes stop where |p| first exceeds _P_MAX
+        from rdcontrol import steady
+
+        ops = assemble_operator(interval_25, 101, DriftField.radial("gauss_out", 0.08))
+        _, column = _assert_same_march(nl033, interval_25, ops, np.linspace(0.0, 1.0, 9) * 0.33,
+                                       None)
+        assert np.any(np.abs(column) > steady._P_MAX)
+
+    def test_preset_marches_warn_nothing_and_stay_finite(self, nl033, interval_25, monkeypatch):
+        from rdcontrol import steady
+        from rdcontrol.errors import SolverFailure
+        from rdcontrol.scenario import PRESETS
+
+        march, marches = steady._march, []
+
+        def spy(nl, geometry, ops, alphas, target=None, keep=False):
+            # a kept column holds each lane's decision value past it, so
+            # its being finite is every value up to the decision being finite
+            reach, column = march(nl, geometry, ops, alphas, target, keep=True)
+            assert np.all(np.isfinite(column))
+            ref_reach, ref_column = reference_march(nl, geometry, ops, alphas, target, keep=True)
+            assert np.array_equal(reach, ref_reach)
+            assert np.array_equal(column.view(np.int64), ref_column.view(np.int64))
+            marches.append(reach.size)
+            return reach, (column if keep else None)
+
+        monkeypatch.setattr(steady, "_march", spy)
+
+        def drift(preset):
+            return DriftField.radial("gauss_out", PRESETS[preset]["drift"]["sigma"])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_barrier_one(nl033, drift("fig4_strong"), interval_25) is not None
+            assert find_barrier_zero(nl033, drift("fig5_strong"), interval_25) is not None
+            build_steady_path(nl033, drift("fig4_strong"), interval_25)
+            with pytest.raises(SolverFailure, match="stiff-failure"):
+                build_steady_path(nl033, DriftField.radial("gauss_out", 0.08), interval_25,
+                                  delta=0.025, n_grid=101)
+        assert len(marches) > 10
 
 
 class TestBarrierProperties:
