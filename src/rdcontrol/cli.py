@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, SolverFailure
 from .model import GridProfile
-from .scenario import PRESETS, Scenario, boundary_value, load_scenario, write_csv
+from .scenario import EXPERIMENTS, PRESETS, Scenario, boundary_value, load_scenario, write_csv
 
 
 def _load_raw(args) -> dict:
@@ -254,12 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="override node count")
         p.add_argument("--seed", type=int, default=None, help="random seed")
 
-    for name, exp in (("barriers", "barriers"), ("simulate", "simulate"),
-                      ("report", "report"), ("eigen", "eigen"), ("energy", "energy"),
-                      ("transform-check", "transform-check")):
-        p = sub.add_parser(name, help=f"run a {exp} experiment")
-        common(p)
-        p.set_defaults(experiment=exp)
+    for exp in EXPERIMENTS:
+        if exp != "mintime-scan":
+            p = sub.add_parser(exp, help=f"run a {exp} experiment")
+            common(p)
+            p.set_defaults(experiment=exp)
 
     p = sub.add_parser("mintime", help="minimal-time scan over a drift family")
     common(p)

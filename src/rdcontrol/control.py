@@ -71,7 +71,6 @@ class StaircaseResult:
 class MinTimeResult:
     parameter: float
     T_min: float            # +inf sentinel when infeasible on the grid
-    strategy: str
 
 
 def _leg_budget(T1: float, remaining: float, dt: float) -> int:
@@ -121,6 +120,8 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     """
     if delta1 <= 0.0:
         raise InvalidInput("invalid-scalar: delta1 must be positive")
+    if T1 <= 0.0:
+        raise InvalidInput("invalid-scalar: T1 must be positive")
     geometry, n = p0.geometry, p0.n
     if path is not None and any(m.geometry != geometry or m.n != n for m in path.profiles):
         raise InvalidInput("invalid-path: the steady path is not on the grid of p0")
@@ -234,17 +235,15 @@ def minimal_time_to_theta(nl: BistableNonlinearity, drift: DriftField,
     try:
         path = build_steady_path(nl, drift, geometry, delta=_DELTA1 / 2.0, n_grid=n)
     except SolverFailure:
-        return MinTimeResult(parameter=drift.sigma, T_min=math.inf,
-                             strategy="staircase (path construction failed)")
-    if not path.admissible:
-        return MinTimeResult(parameter=drift.sigma, T_min=math.inf,
-                             strategy="staircase (path inadmissible)")
+        path = None
+    if path is None or not path.admissible:
+        return MinTimeResult(drift.sigma, math.inf)
     n_legs = max(1, len(path) - 1)
     T_top = horizons[-1]
     run = staircase_to_theta(zeros, nl, drift, T1=T_top / n_legs, T_max=T_top, dt=dt,
                              path=path)
     feasible = [T for T in horizons if run.success and _fits(run.legs, T, n_legs, dt)]
-    return MinTimeResult(drift.sigma, float(feasible[0]) if feasible else math.inf, "staircase")
+    return MinTimeResult(drift.sigma, float(feasible[0]) if feasible else math.inf)
 
 
 def _fits(legs, T: float, n_legs: int, dt: float) -> bool:

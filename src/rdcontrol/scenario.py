@@ -9,7 +9,8 @@ A scenario is a JSON object with the building blocks
      "p0": {"kind": "const", "value": 1.0},
      "experiment": "simulate", ...}
 
-or {"preset": "<name>", ...overrides}.  A kind or key that nothing reads
+or {"preset": "<name>", ...overrides}.  An unknown kind, or a key that
+the experiment does not read (_COMMON_KEYS and its EXPERIMENTS entry),
 raises InvalidInput naming its path.  Every emitted CSV starts with a
 single-field meta row naming the scenario hash and the package version,
 so identical scenarios produce byte-identical artifacts.
@@ -34,8 +35,18 @@ from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
 
 __all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash", "boundary_value"]
 
-EXPERIMENTS = ("barriers", "simulate", "report", "mintime-scan", "eigen", "energy",
-               "transform-check")
+# seed is common: --seed is a flag of every subcommand, though only a random p0 reads it
+_COMMON_KEYS = ("experiment", "f", "drift", "domain", "n", "seed", "out")
+# the top-level keys each experiment reads besides _COMMON_KEYS
+EXPERIMENTS = {
+    "barriers": ("boundary",),
+    "simulate": ("dt", "T", "p0", "targets"),
+    "report": ("dt", "T", "delta1", "T1"),
+    "mintime-scan": ("dt", "family", "sigmas", "horizons"),
+    "eigen": (),
+    "energy": ("delta",),
+    "transform-check": ("dt", "T"),
+}
 
 
 @dataclass(frozen=True)
@@ -172,23 +183,23 @@ def _build_geometry(spec: dict) -> DomainGeometry:
 
 
 # The kinds of each model block and the keys each kind may carry besides
-# "kind"; the first kind is the default.  load_scenario checks every block
-# against this before the builders above dispatch on the kind.
+# "kind"; the first kind is the default.  _check_keys checks each block the
+# experiment reads against this before the builders dispatch on the kind.
 _BLOCK_KEYS = {
     "f": {"cubic": ("theta",), "tabulated": ("theta", "p", "values")},
     "drift": {"homogeneous": (), "radial": ("family", "sigma"), "infection": ("family", "a", "b")},
     "domain": {"interval": ("L",), "ball": ("R", "d")},
     "p0": {"const": ("value",), "random": (), "profile": ("path",), "barrier-seeded": ("boundary",)},
 }
-# top-level keys the experiment runners read besides the model
-_EXTRA_KEYS = ("targets", "family", "sigmas", "horizons", "delta1", "T1", "delta", "boundary")
-_TOP_KEYS = {"experiment", "n", "dt", "T", "seed", "out", *_BLOCK_KEYS, *_EXTRA_KEYS}
 
 
-def _check_keys(merged: dict) -> None:
-    """Reject an unknown kind and every key that nothing reads, named by its path."""
-    unknown = [k for k in merged if k not in _TOP_KEYS]
+def _check_keys(merged: dict, experiment: str) -> None:
+    """Reject an unknown kind and each key the experiment does not read, by its path."""
+    reads = {*_COMMON_KEYS, *EXPERIMENTS[experiment]}
+    unknown = [k for k in merged if k not in reads]
     for block, kinds in _BLOCK_KEYS.items():
+        if block not in reads:
+            continue  # named among the unknown keys when present
         spec = merged.get(block, {})
         if not isinstance(spec, dict):
             raise InvalidInput(f"invalid-scenario: {block} must be an object")
@@ -232,12 +243,11 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
         merged = base
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    _check_keys(merged)
-
     experiment = merged.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise InvalidInput(f"invalid-scenario: experiment must be one of "
                            f"{', '.join(EXPERIMENTS)}, got {experiment!r}")
+    _check_keys(merged, experiment)
     nl = _build_nl(merged.get("f", {"kind": "cubic", "theta": 0.33}))
     drift = _build_drift(merged.get("drift", {"kind": "homogeneous"}))
     geometry = _build_geometry(_need(merged, "domain", "scenario"))

@@ -63,7 +63,6 @@ class RadialTrajectory:
     p: np.ndarray
     v: np.ndarray
     events: dict
-    exit_reason: str
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class SteadyPath:
 
     profiles: list
     s_values: np.ndarray
-    delta: float
     admissible: bool
     max_residual: float
 
@@ -182,7 +180,6 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
 
     r, p, v = r0, ps[-1], vs[-1]
     h_cur = h_max
-    exit_reason = "r-max"
     h_floor = h_max * 1e-8
     while r < r_max:
         h_step = min(h_cur, r_max - r)
@@ -211,15 +208,10 @@ def shoot_radial(nl: BistableNonlinearity, drift: DriftField,
         r, p, v = r_new, p_new, v_new
         if err < 1e-12 * scale:
             h_cur = min(2.0 * h_step, h_max)
-        if p < -0.1 or p > 1.1:
-            exit_reason = "range-exit"
-            break
-        if abs(v) > _V_LIMIT:
-            exit_reason = "blow-up"
+        if p < -0.1 or p > 1.1 or abs(v) > _V_LIMIT:  # range exit or blow-up
             break
 
-    return RadialTrajectory(r=np.asarray(rs), p=np.asarray(ps), v=np.asarray(vs),
-                            events=events, exit_reason=exit_reason)
+    return RadialTrajectory(r=np.asarray(rs), p=np.asarray(ps), v=np.asarray(vs), events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -467,5 +459,5 @@ def build_steady_path(nl: BistableNonlinearity, drift: DriftField,
     max_res = max(steady_residual(geometry, ops, nl, pr.values) for pr in ordered)
     admissible = all(np.min(pr.values) >= -1e-9 and np.max(pr.values) <= 1.0 + 1e-9
                      for pr in ordered)
-    return SteadyPath(profiles=ordered, s_values=np.asarray(s_values), delta=delta,
-                      admissible=admissible, max_residual=float(max_res))
+    return SteadyPath(profiles=ordered, s_values=np.asarray(s_values), admissible=admissible,
+                      max_residual=float(max_res))

@@ -28,6 +28,12 @@ of ``src/rdcontrol`` at any nesting, function bodies included.  Where
 numpy bundles the library, a fresh interpreter that imports every module
 of the package must have loaded no scipy module at all.
 
+A result field that nothing reads is output no caller uses.  The field
+scan reads every field of each ``@dataclass`` class of ``src/rdcontrol``
+and fails on a field whose name no attribute load in ``src/``, ``tests/``
+or ``bench/`` reads.  NamedTuples are exempt: code reads them by
+unpacking (``TridiagonalFactor``).
+
 A profile carries its geometry and its node count, so no public function
 or method takes a ``GridProfile`` parameter together with a
 ``DomainGeometry`` parameter or a node count (``n``, ``n_grid``): a second
@@ -205,6 +211,41 @@ def test_every_public_definition_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     unreached = _unreached(sources, [ACCEPTANCE.read_text()])
     assert not unreached, f"public definitions that only their own tests reach: {unreached}"
+
+
+def _dataclass_fields(source: str) -> list:
+    """(class, field) of each field of each ``@dataclass`` class in ``source``."""
+    def is_dataclass(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) == "dataclass"
+
+    return [(cls.name, stmt.target.id) for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list))
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _attribute_reads(source: str) -> set:
+    """Every attribute name that ``source`` loads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_field_scan_reads_dataclasses():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: float = 0.0\n"
+              "    def m(self):\n        return self.x\n"
+              "@dataclasses.dataclass\nclass B:\n    z: str\n"
+              "class C(NamedTuple):\n    w: int\nb.z = 1\nc.w\n")
+    assert _dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
+    assert _attribute_reads(source) == {"x", "dataclass", "w"}
+
+
+def test_every_dataclass_field_is_read():
+    reads = set().union(*(_attribute_reads(path.read_text())
+                          for top in CALLERS for path in sorted(top.rglob("*.py"))))
+    unread = [f"{path.stem}.{cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _dataclass_fields(path.read_text()) if name not in reads]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 ALLOWED_SCIPY = "scipy.linalg.lapack"

@@ -12,9 +12,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rdcontrol import cli
 from rdcontrol.cli import main
 from rdcontrol.model import GridProfile
-from rdcontrol.scenario import PRESETS, load_scenario, scenario_hash, write_csv
+from rdcontrol.scenario import EXPERIMENTS, PRESETS, load_scenario, scenario_hash, write_csv
+
+# a valid value of each key that some experiment reads besides the common ones
+_VALID = {"boundary": 1, "dt": 0.02, "T": 1.0, "p0": {"kind": "const", "value": 0.5},
+          "targets": [0], "delta1": 0.05, "T1": 5.0, "family": "gauss_in", "sigmas": [1.0],
+          "horizons": [1.0], "delta": 0.5}
 
 
 class TestScenarioValidation:
@@ -40,9 +46,24 @@ class TestScenarioValidation:
     def test_bad_numeric_field(self):
         from rdcontrol.errors import InvalidInput
 
-        with pytest.raises(InvalidInput, match="invalid-scenario"):
-            load_scenario({"experiment": "eigen", "domain": {"kind": "interval", "L": 1.0},
-                           "dt": -0.1})
+        with pytest.raises(InvalidInput, match="dt and T must be positive"):
+            load_scenario({"experiment": "transform-check",
+                           "domain": {"kind": "interval", "L": 1.0}, "dt": -0.1})
+
+    def test_the_table_lists_every_key_some_experiment_reads(self):
+        assert set().union(*EXPERIMENTS.values()) == set(_VALID)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_keys_only_other_experiments_read_exit_2(self, tmp_path, capsys, experiment):
+        base = {"experiment": experiment, "domain": {"kind": "interval", "L": 1.0}}
+        own = {key: _VALID[key] for key in EXPERIMENTS[experiment]}
+        load_scenario({**base, **own})  # every key the experiment reads loads
+        foreign = sorted(set(_VALID) - set(own))
+        assert foreign
+        for key in foreign:
+            sc = _write_scenario(tmp_path, {**base, **own, key: _VALID[key]})
+            assert main(["preset", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.strip().endswith(f"unknown key {key}")
 
     def test_model_fragment_shape(self):
         # the documented JSON fragment parses as-is
@@ -79,13 +100,14 @@ class TestScenarioValidation:
                              ({"n": "abc"}, "n must be a finite number"),
                              ({"dt": "x"}, "dt must be a finite number"),
                              ({"n": math.inf}, "n must be a finite number"),
-                             ({"T": math.nan}, "T must be a finite number"),
                              ({"drift": {"kind": "radial", "family": "sin", "sigma": "x"}},
                               r"drift\.sigma must be a finite number"),
                              ({"horizons": "abc"}, "horizons must be a list of numbers"),
                              ({"sigmas": [1, "x"]}, "sigmas must be a list of numbers")):
             with pytest.raises(InvalidInput, match=match):
                 load_scenario({"preset": "mintime_gauss_in", **block})
+        with pytest.raises(InvalidInput, match="T must be a finite number"):
+            load_scenario({"preset": "fig6_strong", "T": math.nan})
         sc = load_scenario({"preset": "fig6_strong", "p0": {"kind": "profile"}})
         with pytest.raises(InvalidInput, match="missing field p0.path"):
             sc.initial_profile()
@@ -226,6 +248,17 @@ class TestCommands:
             tmp_path, {"preset": "fig6_strong", "targets": [0, 1.7]}),
             "--out", str(tmp_path / "o")]) == 2
         assert "targets[1] must be a number in [0, 1]" in capsys.readouterr().err
+
+    def test_every_experiment_has_one_runner(self):
+        assert set(cli._RUNNERS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("T1", [0, -5])
+    def test_report_nonpositive_T1_exit_2(self, tmp_path, capsys, T1):
+        sc = _write_scenario(tmp_path, {"experiment": "report", "T1": T1,
+                                        "domain": {"kind": "interval", "L": 1.0},
+                                        "n": 41, "dt": 0.05, "T": 20.0})
+        assert main(["report", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+        assert "invalid-scalar: T1 must be positive" in capsys.readouterr().err
 
     def test_exit_code_empty_experiment(self, tmp_path):
         assert main(["preset", "--scenario", _write_scenario(

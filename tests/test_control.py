@@ -65,6 +65,21 @@ class TestStaircase:
             assert leg.sup_error <= 0.025
             assert leg.duration == pytest.approx(leg.steps * 0.02, abs=1e-12)
 
+    @pytest.mark.parametrize("delta1, T1, match", [(0.0, 20.0, "delta1 must be positive"),
+                                                   (0.05, 0.0, "T1 must be positive"),
+                                                   (0.05, -5.0, "T1 must be positive")])
+    def test_nonpositive_delta1_or_T1_is_rejected(self, nl033, homog, interval_1, delta1, T1,
+                                                  match):
+        p0 = GridProfile(interval_1, np.zeros(101))
+        with pytest.raises(InvalidInput, match=f"invalid-scalar: {match}"):
+            staircase_to_theta(p0, nl033, homog, delta1=delta1, T1=T1, T_max=10.0)
+
+    def test_tiny_T1_runs_one_step_per_leg(self, nl033, homog, interval_1):
+        p0 = GridProfile(interval_1, np.zeros(101))
+        res = staircase_to_theta(p0, nl033, homog, T1=1e-9, T_max=10.0)
+        assert [leg.steps for leg in res.legs] == [1] * len(res.legs) and res.legs
+        assert res.reason == "leg-stall"
+
     @pytest.mark.parametrize("geometry, n", [(DomainGeometry.interval(1.0), 101),
                                              (DomainGeometry.interval(2.0), 201)])
     def test_path_off_the_grid_of_p0_is_rejected(self, nl033, homog, geometry, n):

@@ -121,7 +121,7 @@ class TestCertificates:
 
     def test_reports_both_constants(self, nl033, homog):
         cert = uniqueness_certificate(nl033, homog, DomainGeometry.interval(1.0))
-        assert cert.lipschitz_M == pytest.approx(0.67, abs=1e-9)
+        assert cert.rhs == pytest.approx(0.67, abs=1e-9)
         assert cert.sup_fprime == pytest.approx((0.33**2 - 0.33 + 1) / 3, abs=1e-9)
 
     def test_general_unblocking_smallsigma(self, nl033):
