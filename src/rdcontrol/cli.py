@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, SolverFailure
 from .model import GridProfile
-from .scenario import EXPERIMENTS, PRESETS, Scenario, boundary_value, load_scenario, write_csv
+from .scenario import EXPERIMENTS, PRESETS, Scenario, load_scenario, write_csv
 
 
 def _load_raw(args) -> dict:
@@ -39,21 +39,15 @@ def _load_raw(args) -> dict:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "grid", None) is not None:
-        out["n"] = args.grid
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "family", None) is not None:
-        out["family"] = args.family
+    """The flags a subcommand has; load_scenario drops those left unset (None)."""
+    out = {"n": args.grid, "experiment": args.experiment, "seed": getattr(args, "seed", None),
+           "family": getattr(args, "family", None)}
     if getattr(args, "sigmas", None) is not None:
         try:
             out["sigmas"] = [float(s) for s in args.sigmas.split(",")]
         except ValueError:
             raise InvalidInput(f"invalid-scenario: --sigmas must be comma-separated "
                                f"numbers, got {args.sigmas!r}") from None
-    if getattr(args, "experiment", None) is not None:
-        out["experiment"] = args.experiment
     return out
 
 
@@ -70,9 +64,8 @@ def _run_barriers(sc: Scenario) -> int:
     from .steady import find_barrier_one, find_barrier_zero, shoot_radial
     from .svgplot import phase_portrait
 
-    boundaries = [boundary_value(sc.raw, "")] if "boundary" in sc.raw else [0, 1]
     events = {}
-    for bv in boundaries:
+    for bv in sc.boundaries:
         finder = find_barrier_one if bv == 1 else find_barrier_zero
         barrier = finder(sc.nl, sc.drift, sc.geometry, n_grid=sc.n)
         tag = f"barrier_{bv}"
@@ -100,19 +93,14 @@ def _run_simulate(sc: Scenario) -> int:
     from .dynamics import ControlSchedule, simulate, verdict
     from .svgplot import line_plot
 
-    targets = sc.raw.get("targets", [0])
     verdicts = {}
-    for entry in targets:
-        # entries are targets a, or [a, p0] pairs for explicit starts
-        if isinstance(entry, (list, tuple)):
-            a, p0_val = float(entry[0]), float(entry[1])
-            p0 = GridProfile(sc.geometry, np.full(sc.n, p0_val))
-            tag = f"{a:g}_from_{p0_val:g}"
+    for a, start in sc.targets:
+        # a constant start of an [a, p0] pair, else the p0 block, else 1 - a
+        tag = f"{a:g}" if start is None else f"{a:g}_from_{start:g}"
+        if start is None and sc.p0_spec is not None:
+            p0 = sc.initial_profile()
         else:
-            a = float(entry)
-            p0 = sc.initial_profile() if "p0" in sc.raw else GridProfile(
-                sc.geometry, np.full(sc.n, 1.0 - a))
-            tag = f"{a:g}"
+            p0 = GridProfile(sc.geometry, np.full(sc.n, 1.0 - a if start is None else start))
         sim = simulate(p0, sc.nl, sc.drift, ControlSchedule.static(a),
                        sc.T, sc.dt, snapshot_every=max(1, int(round(sc.T / sc.dt / 40))))
         columns = (np.repeat(sim.times, sc.n), np.tile(p0.x, len(sim.snapshots)),
@@ -134,8 +122,7 @@ def _run_report(sc: Scenario) -> int:
     from .control import controllability_report
 
     rep = controllability_report(sc.nl, sc.drift, sc.geometry, n=sc.n, dt=sc.dt,
-                                 T_max=sc.T, delta1=float(sc.raw.get("delta1", 0.05)),
-                                 T1=float(sc.raw.get("T1", 20.0)))
+                                 T_max=sc.T, delta1=sc.delta1, T1=sc.T1)
     out = {}
     rows = []
     for key, tv in rep.items():
@@ -151,21 +138,11 @@ def _run_report(sc: Scenario) -> int:
 def _run_mintime(sc: Scenario) -> int:
     from .control import mintime_scan
 
-    family = sc.raw.get("family")
-    sigmas = sc.raw.get("sigmas")
-    horizons = sc.raw.get("horizons", list(np.geomspace(1.0, 300.0, 24)))
-    if not family or not sigmas:
-        raise InvalidInput("invalid-scenario: mintime-scan needs family and sigmas")
-    if sc.drift.kind != "homogeneous":
-        raise InvalidInput(f"invalid-scenario: mintime-scan builds its drifts from family and "
-                           f"sigmas and reads no drift, got drift.kind {sc.drift.kind!r}")
-    results = mintime_scan(str(family), sigmas, sc.nl, sc.geometry, horizons,
-                           n=sc.n, dt=sc.dt)
+    results = mintime_scan(sc.family, sc.sigmas, sc.nl, sc.geometry, sc.horizons, n=sc.n, dt=sc.dt)
     rows = [(r.parameter, r.T_min) for r in results]
-    write_csv(os.path.join(sc.out_dir, f"mintime_{family}.csv"),
+    write_csv(os.path.join(sc.out_dir, f"mintime_{sc.family}.csv"),
               ["sigma", "T_min"], rows, sc.raw)
-    print(json.dumps({"family": family,
-                      "rows": [[r.parameter, r.T_min] for r in results]}))
+    print(json.dumps({"family": sc.family, "rows": rows}))
     return 0
 
 
@@ -186,8 +163,7 @@ def _run_eigen(sc: Scenario) -> int:
 def _run_energy(sc: Scenario) -> int:
     from .energy import energy_sigma, negative_energy_sigma_threshold, plateau_ramp_eta
 
-    delta = float(sc.raw.get("delta", sc.geometry.inradius() / 5.0))
-    eta = plateau_ramp_eta(delta, sc.geometry, sc.n)
+    eta = plateau_ramp_eta(sc.delta, sc.geometry, sc.n)
     sigma_star, status = negative_energy_sigma_threshold(sc.nl, sc.drift, eta)
     # a window around sigma*, or a fixed one when there is no finite sigma*
     lo, hi = (sigma_star / 8.0, sigma_star * 8.0) if 0.0 < sigma_star < math.inf else (1e-3, 8.0)
@@ -202,7 +178,7 @@ def _run_energy(sc: Scenario) -> int:
         rep = energy_sigma(sc.nl, replace(sc.drift, sigma=sigma_star), eta)
         at_star = {"sigma": sigma_star, "value": rep.value,
                    "gradient_part": rep.gradient_part, "potential_part": rep.potential_part}
-    info = {"sigma_star": sigma_star, "status": status, "delta": delta,
+    info = {"sigma_star": sigma_star, "status": status, "delta": sc.delta,
             "report_at_sigma_star": at_star}
     return _emit(sc, "energy", info)
 
@@ -210,8 +186,6 @@ def _run_energy(sc: Scenario) -> int:
 def _run_transform(sc: Scenario) -> int:
     from .transform import build_map, equivalence_check, tilde_f
 
-    if sc.drift.kind != "infection":
-        raise InvalidInput("invalid-scenario: transform-check needs an infection drift")
     N_of_p = sc.drift.N_of_p
     gf = build_map(N_of_p)
     x = sc.geometry.grid(sc.n)
@@ -245,29 +219,29 @@ def build_parser() -> argparse.ArgumentParser:
                                              "for bistable reaction-diffusion equations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_preset=False):
-        if with_preset:
-            p.add_argument("preset", nargs="?", choices=sorted(PRESETS),
-                           help="preset scenario name (or use --scenario)")
+    def common(p, seed: bool):
         p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--grid", type=int, default=None, help="override node count")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
+        if seed:  # only a random p0 of a simulate scenario reads it
+            p.add_argument("--seed", type=int, default=None, help="random seed of a random p0")
 
     for exp in EXPERIMENTS:
         if exp != "mintime-scan":
             p = sub.add_parser(exp, help=f"run a {exp} experiment")
-            common(p)
+            common(p, "seed" in EXPERIMENTS[exp])
             p.set_defaults(experiment=exp)
 
     p = sub.add_parser("mintime", help="minimal-time scan over a drift family")
-    common(p)
+    common(p, False)
     p.add_argument("--family", choices=("gauss_out", "gauss_in", "abs_exp", "sin"))
     p.add_argument("--sigmas", help="comma-separated drift intensities")
     p.set_defaults(experiment="mintime-scan")
 
     p = sub.add_parser("preset", help="run a named preset scenario")
-    common(p, with_preset=True)
+    p.add_argument("preset", nargs="?", choices=sorted(PRESETS),
+                   help="preset scenario name (or use --scenario)")
+    common(p, True)
     p.set_defaults(experiment=None)
     return ap
 

@@ -44,6 +44,7 @@ __all__ = [
 
 
 _DELTA1 = 0.05  # staircase tolerance; a leg ends within half of it from its target
+_T1 = 20.0      # per-leg time budget of the staircase
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,15 @@ def _run_leg(st: _Stepper, vals, target: GridProfile, n_steps: int, tol: float):
     return vals, LegRecord(steps, t_used, err, u_min, u_max)
 
 
+def _check_staircase(delta1: float, T1: float) -> None:
+    """InvalidInput unless the staircase tolerance and leg budget are positive."""
+    for name, value in (("delta1", delta1), ("T1", T1)):
+        if value <= 0.0:
+            raise InvalidInput(f"invalid-scalar: {name} must be positive")
+
+
 def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
-                       T_max: float, delta1: float = _DELTA1, T1: float = 20.0, dt: float = 0.02,
+                       T_max: float, delta1: float = _DELTA1, T1: float = _T1, dt: float = 0.02,
                        path: Optional[SteadyPath] = None) -> StaircaseResult:
     """Drive any admissible initial state to the Allee constant.
 
@@ -118,10 +126,7 @@ def staircase_to_theta(p0: GridProfile, nl: BistableNonlinearity, drift: DriftFi
     Everything runs on the grid of ``p0``, and a given ``path`` must lie
     on it.
     """
-    if delta1 <= 0.0:
-        raise InvalidInput("invalid-scalar: delta1 must be positive")
-    if T1 <= 0.0:
-        raise InvalidInput("invalid-scalar: T1 must be positive")
+    _check_staircase(delta1, T1)
     geometry, n = p0.geometry, p0.n
     if path is not None and any(m.geometry != geometry or m.n != n for m in path.profiles):
         raise InvalidInput("invalid-path: the steady path is not on the grid of p0")
@@ -175,7 +180,7 @@ class TargetVerdict:
 
 def controllability_report(nl: BistableNonlinearity, drift: DriftField,
                            geometry: DomainGeometry, n: int, dt: float, T_max: float,
-                           delta1: float = _DELTA1, T1: float = 20.0) -> dict:
+                           delta1: float = _DELTA1, T1: float = _T1) -> dict:
     """Verdicts for the three homogeneous targets with blocking witnesses.
 
     Targets 0 and 1 run static controls from the extreme data (p0 = 1,
@@ -185,6 +190,7 @@ def controllability_report(nl: BistableNonlinearity, drift: DriftField,
     matching barrier as a witness when one is found; each barrier is
     searched for at most once and shared by the verdicts that cite it.
     """
+    _check_staircase(delta1, T1)
     ones = GridProfile(geometry, np.ones(n))
     zeros = GridProfile(geometry, np.zeros(n))
     report = {}

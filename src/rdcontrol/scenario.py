@@ -11,9 +11,12 @@ A scenario is a JSON object with the building blocks
 
 or {"preset": "<name>", ...overrides}.  An unknown kind, or a key that
 the experiment does not read (_COMMON_KEYS and its EXPERIMENTS entry),
-raises InvalidInput naming its path.  Every emitted CSV starts with a
-single-field meta row naming the scenario hash and the package version,
-so identical scenarios produce byte-identical artifacts.
+raises InvalidInput naming its path.  load_scenario parses each key once
+into a typed Scenario field with its one default and makes each
+experiment's own checks, so their errors raise before any output
+exists.  Every emitted CSV starts with a single-field meta row
+naming the hash of Scenario.raw and the package version, so identical
+scenarios produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -30,28 +33,30 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .control import _DELTA1, _T1
 from .errors import InvalidInput
 from .model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
+from .steady import find_barrier_one, find_barrier_zero
 
-__all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash", "boundary_value"]
+__all__ = ["Scenario", "load_scenario", "PRESETS", "write_csv", "scenario_hash"]
 
-# seed is common: --seed is a flag of every subcommand, though only a random p0 reads it
-_COMMON_KEYS = ("experiment", "f", "drift", "domain", "n", "seed", "out")
+_COMMON_KEYS = ("experiment", "f", "drift", "domain", "n", "out")
 # the top-level keys each experiment reads besides _COMMON_KEYS
 EXPERIMENTS = {
     "barriers": ("boundary",),
-    "simulate": ("dt", "T", "p0", "targets"),
+    "simulate": ("dt", "T", "p0", "targets", "seed"),
     "report": ("dt", "T", "delta1", "T1"),
     "mintime-scan": ("dt", "family", "sigmas", "horizons"),
     "eigen": (),
     "energy": ("delta",),
     "transform-check": ("dt", "T"),
 }
+_HORIZONS = tuple(np.geomspace(1.0, 300.0, 24))  # a mintime-scan's default horizon grid
 
 
 @dataclass(frozen=True)
 class Scenario:
-    raw: dict = field(repr=False)
+    raw: dict = field(repr=False)   # the merged scenario, hashed into each CSV's meta row
     nl: BistableNonlinearity
     drift: DriftField
     geometry: DomainGeometry
@@ -59,13 +64,21 @@ class Scenario:
     dt: float
     T: float
     experiment: str
-    p0_spec: dict
+    p0_spec: Optional[dict]         # None when no p0 is given
     out_dir: str
     seed: int
+    boundaries: tuple               # barrier boundary values: (boundary,), else (0, 1)
+    targets: tuple                  # (a, constant start or None) per simulate target
+    delta1: float
+    T1: float
+    family: Optional[str]
+    sigmas: np.ndarray              # empty when absent
+    horizons: np.ndarray
+    delta: float
 
     def initial_profile(self) -> GridProfile:
-        """The p0 block on the scenario grid; InvalidInput when it is not a
-        proportion profile (a value leaves [0, 1])."""
+        """The p0 block of a scenario that gives one, on the scenario grid;
+        InvalidInput when it is not a proportion profile (a value leaves [0, 1])."""
         prof = self._p0_profile()
         prof.check_proportion()
         return prof
@@ -77,8 +90,7 @@ class Scenario:
                                np.full(self.n, _num(self.p0_spec, "value", "p0", 0.0)))
         if kind == "random":
             rng = np.random.default_rng(self.seed)
-            vals = rng.uniform(0.0, 1.0, self.n)
-            return GridProfile(self.geometry, vals)
+            return GridProfile(self.geometry, rng.uniform(0.0, 1.0, self.n))
         if kind == "profile":
             path = str(_need(self.p0_spec, "path", "p0"))
             if not os.path.exists(path):
@@ -93,9 +105,7 @@ class Scenario:
                                    "after two header rows") from None
             return GridProfile(self.geometry, vals)
         # kind "barrier-seeded"
-        from .steady import find_barrier_one, find_barrier_zero
-
-        finder = find_barrier_one if boundary_value(self.p0_spec, "p0") else find_barrier_zero
+        finder = find_barrier_one if _boundary_value(self.p0_spec, "p0") else find_barrier_zero
         b = finder(self.nl, self.drift, self.geometry, n_grid=self.n)
         if b is None:
             raise InvalidInput("invalid-scenario: barrier-seeded p0 but no barrier exists")
@@ -129,7 +139,7 @@ def _num(spec: dict, key: str, ctx: str, default=None, cast=float):
                        f"got {value!r}")
 
 
-def boundary_value(spec: dict, ctx: str) -> int:
+def _boundary_value(spec: dict, ctx: str) -> int:
     """spec["boundary"] (default 0), a barrier's constant boundary value:
     the number 0 or 1; InvalidInput names the key's path otherwise."""
     bv = spec.get("boundary", 0)
@@ -139,10 +149,11 @@ def boundary_value(spec: dict, ctx: str) -> int:
     return int(bv)
 
 
-def _numbers(spec: dict, key: str, ctx: str) -> np.ndarray:
-    """spec[key] as a 1-d float array; InvalidInput names the key's path otherwise."""
+def _numbers(spec: dict, key: str, ctx: str, default=None) -> np.ndarray:
+    """spec[key] (default when absent and given) as a 1-d float array, or
+    InvalidInput naming the key's path."""
     name = f"{ctx}.{key}" if ctx else key
-    value = _need(spec, key, ctx or "scenario")
+    value = _need(spec, key, ctx or "scenario") if default is None else spec.get(key, default)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -211,16 +222,21 @@ def _check_keys(merged: dict, experiment: str) -> None:
         raise InvalidInput(f"invalid-scenario: unknown key {', '.join(unknown)}")
 
 
-def _check_targets(targets) -> None:
-    """Each target is a number a in [0, 1] or an [a, p0] pair of such numbers."""
+def _targets(targets) -> tuple:
+    """(a, constant start or None) per target: a number a or an [a, p0] pair, in [0, 1]."""
     if not isinstance(targets, (list, tuple)):
         raise InvalidInput(f"invalid-scenario: targets must be a list, got {targets!r}")
+    if not targets:
+        raise InvalidInput("invalid-scenario: targets must be a non-empty list")
+    pairs = []
     for i, entry in enumerate(targets):
         pair = isinstance(entry, (list, tuple))
         values = entry if pair else [entry]
         if (pair and len(entry) != 2) or not all(_is_number(v) and 0.0 <= v <= 1.0 for v in values):
             raise InvalidInput(f"invalid-scenario: targets[{i}] must be a number in [0, 1] "
                                f"or an [a, p0] pair of such numbers, got {entry!r}")
+        pairs.append((float(values[0]), float(values[1]) if pair else None))
+    return tuple(pairs)
 
 
 def scenario_hash(raw: dict) -> str:
@@ -238,9 +254,7 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
         if preset not in PRESETS:
             raise InvalidInput(f"invalid-scenario: unknown preset {preset!r}; "
                                f"known: {', '.join(sorted(PRESETS))}")
-        base = dict(PRESETS[preset])
-        base.update(merged)
-        merged = base
+        merged = {**PRESETS[preset], **merged}
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     experiment = merged.get("experiment")
@@ -248,29 +262,34 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
         raise InvalidInput(f"invalid-scenario: experiment must be one of "
                            f"{', '.join(EXPERIMENTS)}, got {experiment!r}")
     _check_keys(merged, experiment)
-    nl = _build_nl(merged.get("f", {"kind": "cubic", "theta": 0.33}))
-    drift = _build_drift(merged.get("drift", {"kind": "homogeneous"}))
     geometry = _build_geometry(_need(merged, "domain", "scenario"))
-    n = _num(merged, "n", "", 201, int)
-    if n < 16 or n > 100001:
-        raise InvalidInput(f"invalid-scenario: n={n} outside [16, 100001]")
-    dt = _num(merged, "dt", "", 0.02)
-    T = _num(merged, "T", "", 100.0)
-    if dt <= 0.0 or T <= 0.0:
+    sc = Scenario(
+        raw=merged, nl=_build_nl(merged.get("f", {"kind": "cubic", "theta": 0.33})),
+        drift=_build_drift(merged.get("drift", {"kind": "homogeneous"})), geometry=geometry,
+        n=_num(merged, "n", "", 201, int), dt=_num(merged, "dt", "", 0.02),
+        T=_num(merged, "T", "", 100.0), experiment=experiment, p0_spec=merged.get("p0"),
+        out_dir=out_dir or merged.get("out", "out"), seed=_num(merged, "seed", "", 0, int),
+        boundaries=(_boundary_value(merged, ""),) if "boundary" in merged else (0, 1),
+        targets=_targets(merged.get("targets", [0])),
+        delta1=_num(merged, "delta1", "", _DELTA1), T1=_num(merged, "T1", "", _T1),
+        family=str(merged["family"]) if merged.get("family") else None,
+        sigmas=_numbers(merged, "sigmas", "", ()),
+        horizons=_numbers(merged, "horizons", "", _HORIZONS),
+        delta=_num(merged, "delta", "", geometry.inradius() / 5.0))
+    # the checks on the values, made before any output exists
+    if not 16 <= sc.n <= 100001:
+        raise InvalidInput(f"invalid-scenario: n={sc.n} outside [16, 100001]")
+    if sc.dt <= 0.0 or sc.T <= 0.0:
         raise InvalidInput("invalid-scenario: dt and T must be positive")
-    # numeric keys the experiment runners read: checked here so a bad value exits 2
-    for key in ("delta1", "T1", "delta"):
-        if key in merged:
-            _num(merged, key, "")
-    boundary_value(merged, "")
-    for key in ("sigmas", "horizons"):
-        if key in merged:
-            _numbers(merged, key, "")
-    _check_targets(merged.get("targets", []))
-    return Scenario(raw=merged, nl=nl, drift=drift, geometry=geometry, n=n, dt=dt, T=T,
-                    experiment=str(experiment), p0_spec=merged.get("p0", {"kind": "const", "value": 0.0}),
-                    out_dir=out_dir or merged.get("out", "out"),
-                    seed=_num(merged, "seed", "", 0, int))
+    if experiment == "mintime-scan":
+        if sc.family is None or not sc.sigmas.size:
+            raise InvalidInput("invalid-scenario: mintime-scan needs family and sigmas")
+        if sc.drift.kind != "homogeneous":
+            raise InvalidInput(f"invalid-scenario: mintime-scan builds its drifts from family "
+                               f"and sigmas and reads no drift, got drift.kind {sc.drift.kind!r}")
+    if experiment == "transform-check" and sc.drift.kind != "infection":
+        raise InvalidInput("invalid-scenario: transform-check needs an infection drift")
+    return sc
 
 
 def _row_template(row) -> str:

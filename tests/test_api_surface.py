@@ -34,6 +34,10 @@ and fails on a field whose name no attribute load in ``src/``, ``tests/``
 or ``bench/`` reads.  NamedTuples are exempt: code reads them by
 unpacking (``TridiagonalFactor``).
 
+Scenario values are decided once, in ``load_scenario``: the raw scan
+fails when ``cli.py`` loads an attribute ``raw`` anywhere other than as a
+direct argument of ``write_csv``, whose meta row hashes it.
+
 A profile carries its geometry and its node count, so no public function
 or method takes a ``GridProfile`` parameter together with a
 ``DomainGeometry`` parameter or a node count (``n``, ``n_grid``): a second
@@ -246,6 +250,34 @@ def test_every_dataclass_field_is_read():
     unread = [f"{path.stem}.{cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
               for cls, name in _dataclass_fields(path.read_text()) if name not in reads]
     assert not unread, f"dataclass fields that nothing reads: {unread}"
+
+
+def _raw_reads(source: str) -> list:
+    """Lines of ``source`` that load an attribute ``raw`` other than as a
+    direct argument of a ``write_csv`` call."""
+    tree = ast.parse(source)
+    hashed = {id(arg) for call in ast.walk(tree) if isinstance(call, ast.Call)
+              and getattr(call.func, "id", getattr(call.func, "attr", None)) == "write_csv"
+              for arg in call.args + [kw.value for kw in call.keywords]}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "raw"
+                  and isinstance(node.ctx, ast.Load) and id(node) not in hashed)
+
+
+def test_the_raw_scan_flags_a_read_outside_write_csv():
+    source = ("write_csv(path, header, rows, sc.raw)\n"
+              "write_csv(path, header, rows, raw_scenario=sc.raw)\n"
+              "delta1 = sc.raw.get('delta1', 0.05)\n"
+              "if 'p0' in sc.raw:\n    pass\n"
+              "write_csv(path, header, rows, dict(sc.raw))\n")
+    assert _raw_reads(source) == [3, 4, 6]
+
+
+def test_the_cli_reads_scenario_raw_only_to_hash_it():
+    # load_scenario decides every value once; a runner that reads sc.raw
+    # again would make a second default or cast of a key
+    lines = _raw_reads((PACKAGE / "cli.py").read_text())
+    assert not lines, f"cli.py reads .raw outside write_csv at lines {lines}"
 
 
 ALLOWED_SCIPY = "scipy.linalg.lapack"

@@ -20,7 +20,7 @@ from rdcontrol.scenario import EXPERIMENTS, PRESETS, load_scenario, scenario_has
 # a valid value of each key that some experiment reads besides the common ones
 _VALID = {"boundary": 1, "dt": 0.02, "T": 1.0, "p0": {"kind": "const", "value": 0.5},
           "targets": [0], "delta1": 0.05, "T1": 5.0, "family": "gauss_in", "sigmas": [1.0],
-          "horizons": [1.0], "delta": 0.5}
+          "horizons": [1.0], "delta": 0.5, "seed": 1}
 
 
 class TestScenarioValidation:
@@ -56,6 +56,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_keys_only_other_experiments_read_exit_2(self, tmp_path, capsys, experiment):
         base = {"experiment": experiment, "domain": {"kind": "interval", "L": 1.0}}
+        if experiment == "transform-check":  # it needs an infection drift to load
+            base["drift"] = {"kind": "infection"}
         own = {key: _VALID[key] for key in EXPERIMENTS[experiment]}
         load_scenario({**base, **own})  # every key the experiment reads loads
         foreign = sorted(set(_VALID) - set(own))
@@ -120,7 +122,8 @@ class TestScenarioValidation:
         ([0, [0.33, -0.1]], r"targets\[1\] must be"),
         ([0, [0.3, 0.5, 0.1]], r"targets\[1\] must be"),
         ([1, True], r"targets\[1\] must be"),
-        (0.5, "targets must be a list")])
+        (0.5, "targets must be a list"),
+        ([], "targets must be a non-empty list")])
     def test_bad_targets_are_named(self, targets, message):
         from rdcontrol.errors import InvalidInput
 
@@ -518,13 +521,46 @@ class TestCommands:
         # only JSON numbers, and an integer key takes no fraction
         ({"n": "64"}, "n must be a finite number"),
         ({"n": 100.9}, "n must be a finite number with an integral value, got 100.9"),
-        ({"seed": 1.5}, "seed must be a finite number with an integral value"),
+        ({"family": "nope"}, "invalid-family: nope"),
         ({"domain": {"kind": "ball", "R": 2, "d": 2.5}},
          "domain.d must be a finite number with an integral value")])
     def test_exit_code_bad_mintime_values(self, tmp_path, capsys, block, message):
         sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5], **block})
         assert main(["preset", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"preset": "fig6_strong", "targets": []}, "targets must be a non-empty list"),
+        ({"preset": "fig6_strong", "seed": 1.5},
+         "seed must be a finite number with an integral value"),
+        ({"preset": "eigen_demo", "seed": 5}, "unknown key seed"),
+        ({"preset": "mintime_gauss_in", "sigmas": []}, "mintime-scan needs family and sigmas"),
+        ({"experiment": "mintime-scan", "family": "gauss_in",
+          "domain": {"kind": "interval", "L": 2.5}}, "mintime-scan needs family and sigmas"),
+        ({"experiment": "mintime-scan", "sigmas": [2.5],
+          "domain": {"kind": "interval", "L": 2.5}}, "mintime-scan needs family and sigmas"),
+        ({"preset": "mintime_gauss_in", "drift": {"kind": "radial", "family": "sin", "sigma": 1}},
+         "reads no drift, got drift.kind 'radial'"),
+        ({"preset": "transform_check", "drift": {"kind": "homogeneous"}},
+         "transform-check needs an infection drift"),
+    ], ids=["empty-targets", "fractional-seed", "seed-off-simulate", "empty-sigmas",
+            "no-sigmas", "no-family", "mintime-drift", "transform-without-infection"])
+    def test_configuration_errors_exit_2_before_any_output(self, tmp_path, capsys, raw,
+                                                             message):
+        out = tmp_path / "o"
+        sc = _write_scenario(tmp_path, raw)
+        assert main(["preset", "--scenario", sc, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_only_on_simulate_and_preset(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--seed", "5", "--scenario", "eigen.json", "--out", out])
+        assert exc.value.code == 2
+        assert main(["preset", "eigen_demo", "--seed", "5", "--out", out]) == 2
+        assert "unknown key seed" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(["simulate", "--seed", "5"]).seed == 5
 
     def test_exit_code_bad_sigmas_flag(self, tmp_path, capsys):
         sc = _write_scenario(tmp_path, {"preset": "mintime_gauss_in", "sigmas": [2.5]})

@@ -113,6 +113,19 @@ class TestReport:
         assert rep["to_one"].status == "converged"
         assert rep["to_theta"].status == "converged"
 
+    @pytest.mark.parametrize("delta1, T1", [(0.05, 0.0), (0.0, 20.0)])
+    def test_delta1_and_T1_are_checked_before_any_time_step(self, nl033, homog, interval_1,
+                                                             monkeypatch, delta1, T1):
+        from rdcontrol import control
+
+        def no_verdict(*args, **kwargs):
+            pytest.fail("a static verdict ran before the staircase scalars were checked")
+
+        monkeypatch.setattr(control, "asymptotic_verdict", no_verdict)
+        with pytest.raises(InvalidInput, match="invalid-scalar"):
+            controllability_report(nl033, homog, interval_1, n=101, dt=0.02, T_max=10.0,
+                                   delta1=delta1, T1=T1)
+
     def test_unblocking_preset_theta_time(self):
         # every leg ends at its first in-tolerance step
         sc = load_scenario({"preset": "unblocking"})
