@@ -186,15 +186,14 @@ def _run_energy(sc: Scenario) -> int:
 def _run_transform(sc: Scenario) -> int:
     from .transform import build_map, equivalence_check, tilde_f
 
-    N_of_p = sc.drift.N_of_p
-    gf = build_map(N_of_p)
+    gf = build_map(sc.drift.N_of_p)
     x = sc.geometry.grid(sc.n)
     L = sc.geometry.inradius()
     p0 = GridProfile(sc.geometry, 0.5 * (1.0 + np.cos(np.pi * x / L)) * sc.nl.theta)
-    disc = equivalence_check(sc.nl, N_of_p, p0, 0.0, sc.T, sc.dt)
+    disc = equivalence_check(sc.nl, gf, p0, 0.0, sc.T, sc.dt)
     ps = np.linspace(0.0, 1.0, 101)
-    rows = [(float(p), float(gf.script_N(p)), float(tilde_f(gf, sc.nl, float(gf.script_N(p)))))
-            for p in ps]
+    qs = gf.script_N(ps)
+    rows = zip(ps.tolist(), qs.tolist(), tilde_f(gf, sc.nl, qs).tolist())
     write_csv(os.path.join(sc.out_dir, "transform.csv"),
               ["p", "script_N", "tilde_f"], rows, sc.raw)
     info = {"sup_discrepancy": disc, "script_N_theta": float(gf.script_N(sc.nl.theta))}

@@ -84,7 +84,7 @@ class Scenario:
         return prof
 
     def _p0_profile(self) -> GridProfile:
-        kind = self.p0_spec.get("kind", "const")
+        kind = self.p0_spec.get("kind", _DEFAULT_KIND["p0"])
         if kind == "const":
             return GridProfile(self.geometry,
                                np.full(self.n, _num(self.p0_spec, "value", "p0", 0.0)))
@@ -166,14 +166,14 @@ def _numbers(spec: dict, key: str, ctx: str, default=None) -> np.ndarray:
 
 def _build_nl(spec: dict) -> BistableNonlinearity:
     theta = _num(spec, "theta", "f")
-    if spec.get("kind", "cubic") == "cubic":
+    if spec.get("kind", _DEFAULT_KIND["f"]) == "cubic":
         return BistableNonlinearity.cubic(theta)
     return BistableNonlinearity.tabulated(_numbers(spec, "p", "f"),
                                           _numbers(spec, "values", "f"), theta)
 
 
 def _build_drift(spec: dict) -> DriftField:
-    kind = spec.get("kind", "homogeneous")
+    kind = spec.get("kind", _DEFAULT_KIND["drift"])
     if kind == "homogeneous":
         return DriftField.homogeneous()
     if kind == "radial":
@@ -188,20 +188,22 @@ def _build_drift(spec: dict) -> DriftField:
 
 
 def _build_geometry(spec: dict) -> DomainGeometry:
-    if spec.get("kind", "interval") == "interval":
+    if spec.get("kind", _DEFAULT_KIND["domain"]) == "interval":
         return DomainGeometry.interval(_num(spec, "L", "domain"))
     return DomainGeometry.ball(_num(spec, "R", "domain"), _num(spec, "d", "domain", 1, int))
 
 
 # The kinds of each model block and the keys each kind may carry besides
-# "kind"; the first kind is the default.  _check_keys checks each block the
-# experiment reads against this before the builders dispatch on the kind.
+# "kind"; the first kind is the default (_DEFAULT_KIND).  _check_keys checks
+# each block the experiment reads against this before the builders dispatch
+# on the kind.
 _BLOCK_KEYS = {
     "f": {"cubic": ("theta",), "tabulated": ("theta", "p", "values")},
     "drift": {"homogeneous": (), "radial": ("family", "sigma"), "infection": ("family", "a", "b")},
     "domain": {"interval": ("L",), "ball": ("R", "d")},
     "p0": {"const": ("value",), "random": (), "profile": ("path",), "barrier-seeded": ("boundary",)},
 }
+_DEFAULT_KIND = {block: next(iter(kinds)) for block, kinds in _BLOCK_KEYS.items()}
 
 
 def _check_keys(merged: dict, experiment: str) -> None:
@@ -214,7 +216,7 @@ def _check_keys(merged: dict, experiment: str) -> None:
         spec = merged.get(block, {})
         if not isinstance(spec, dict):
             raise InvalidInput(f"invalid-scenario: {block} must be an object")
-        kind = spec.get("kind", next(iter(kinds)))
+        kind = spec.get("kind", _DEFAULT_KIND[block])
         if kind not in kinds:
             raise InvalidInput(f"invalid-scenario: {block}.kind {kind!r}")
         unknown += [f"{block}.{k}" for k in spec if k != "kind" and k not in kinds[kind]]
@@ -264,8 +266,8 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
     _check_keys(merged, experiment)
     geometry = _build_geometry(_need(merged, "domain", "scenario"))
     sc = Scenario(
-        raw=merged, nl=_build_nl(merged.get("f", {"kind": "cubic", "theta": 0.33})),
-        drift=_build_drift(merged.get("drift", {"kind": "homogeneous"})), geometry=geometry,
+        raw=merged, nl=_build_nl(merged.get("f", {"theta": 0.33})),
+        drift=_build_drift(merged.get("drift", {})), geometry=geometry,
         n=_num(merged, "n", "", 201, int), dt=_num(merged, "dt", "", 0.02),
         T=_num(merged, "T", "", 100.0), experiment=experiment, p0_spec=merged.get("p0"),
         out_dir=out_dir or merged.get("out", "out"), seed=_num(merged, "seed", "", 0, int),
@@ -287,8 +289,9 @@ def load_scenario(raw: dict, out_dir: Optional[str] = None,
         if sc.drift.kind != "homogeneous":
             raise InvalidInput(f"invalid-scenario: mintime-scan builds its drifts from family "
                                f"and sigmas and reads no drift, got drift.kind {sc.drift.kind!r}")
-    if experiment == "transform-check" and sc.drift.kind != "infection":
-        raise InvalidInput("invalid-scenario: transform-check needs an infection drift")
+    if (experiment == "transform-check") != (sc.drift.kind == "infection"):
+        raise InvalidInput("invalid-scenario: transform-check needs an infection drift, and only "
+                           f"it reads one; got {experiment} with drift.kind {sc.drift.kind!r}")
     return sc
 
 

@@ -42,6 +42,7 @@ class GeneFlowMap:
     x_table: np.ndarray = field(repr=False)
     N_table: np.ndarray = field(repr=False)      # normalized: int N^2 = 1
     script_table: np.ndarray = field(repr=False)
+    N_of_p: Callable = field(repr=False, compare=False)  # the density before normalizing
     _fwd: Pchip = field(repr=False, compare=False, default=None)
     _inv: Pchip = field(repr=False, compare=False, default=None)
     _Nsq: Pchip = field(repr=False, compare=False, default=None)
@@ -74,6 +75,7 @@ def build_map(N_of_p: Callable) -> GeneFlowMap:
         x_table=x,
         N_table=n_hat,
         script_table=script,
+        N_of_p=N_of_p,
         _fwd=Pchip(x, script),
         _inv=Pchip(script, x),
         _Nsq=Pchip(x, n_hat**2),
@@ -132,52 +134,44 @@ class _CnAb2:
         return solve_tridiagonal(self.factor, rhs)
 
 
-def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable, p0: GridProfile,
+def equivalence_check(nl: BistableNonlinearity, gf: GeneFlowMap, p0: GridProfile,
                       u: float, T: float, dt: float, snapshot_every: int = 10) -> float:
     """Sup over snapshots of |script_N(p) - q| between the quasilinear
     simulation of p and the transformed heat simulation of q, both on the
-    grid of ``p0``.
+    grid of ``p0``, for the density ``gf.N_of_p`` of the map ``gf``.
 
     Both sides run the same second-order scheme with matching snapshot
     times; the quasilinear gradient-squared term and the reactions are
     explicit (AB2), diffusion implicit (CN).  The constant boundary
     control ``u``, clamped to [0, 1], is mapped through script_N on the
-    q side.
+    q side.  A step calls ``gf.N_of_p`` once, on the (3, n) array of the
+    clipped state and its two difference points, and evaluates the
+    reactions unchecked on checked solve outputs.
     """
-    gf = build_map(N_of_p)
-    n = p0.n
-    x = p0.x
-    h = p0.h
-    stepper = _CnAb2(p0.geometry, n, dt)
+    stepper = _CnAb2(p0.geometry, p0.n, dt)
     n_steps = max(1, int(round(T / dt)))
-
-    def n_ratio(p):
-        pc = np.clip(p, 0.0, 1.0)
-        eps = 1e-6
-        lo = np.clip(pc - eps, 0.0, 1.0)
-        hi = np.clip(pc + eps, 0.0, 1.0)
-        nv = np.asarray(N_of_p(pc), dtype=float)
-        dn = (np.asarray(N_of_p(hi), dtype=float) - np.asarray(N_of_p(lo), dtype=float)) / (hi - lo)
-        return dn / nv
+    stencil = np.array([[-1e-6], [0.0], [1e-6]])  # N'/N by a central difference
 
     def g_quasi(p):
-        grad = np.gradient(p, h, edge_order=2)
-        out = np.asarray(nl.f(p)) + 2.0 * n_ratio(p) * grad**2
-        return out
+        s = np.clip(np.clip(p, 0.0, 1.0) + stencil, 0.0, 1.0)
+        n_lo, nv, n_hi = np.asarray(gf.N_of_p(s), dtype=float)
+        grad = np.gradient(p, p0.h, edge_order=2)
+        return nl._f_values(p) + 2.0 * ((n_hi - n_lo) / (s[2] - s[0]) / nv) * grad**2
 
-    def g_heat(q):
-        return np.asarray(tilde_f(gf, nl, np.clip(q, 0.0, 1.0)))
+    def g_heat(q):  # tilde_f; _inv keeps [0, 1] in [0, 1], so x needs no clip
+        x = gf._inv(np.clip(q, 0.0, 1.0))
+        return nl._f_values(x) * gf._Nsq(x)
 
     p = p0.values.copy()
-    q = np.asarray(gf.script_N(p0.values), dtype=float)
-    gp_prev = g_quasi(p)
-    gq_prev = g_heat(q)
-    worst = float(np.max(np.abs(np.asarray(gf.script_N(p)) - q)))
+    q = gf.script_N(p)
+    worst = 0.0  # q starts as script_N(p)
     u = min(max(float(u), 0.0), 1.0)
     uq = float(gf.script_N(u))
     for k in range(n_steps):
         gp = g_quasi(p)
         gq = g_heat(q)
+        if k == 0:  # the first step is AB2 with the start values as the previous ones
+            gp_prev, gq_prev = gp, gq
         try:
             p = stepper.advance(p, gp, gp_prev, u)
             stable = np.max(np.abs(p)) <= 10.0
@@ -188,5 +182,5 @@ def equivalence_check(nl: BistableNonlinearity, N_of_p: Callable, p0: GridProfil
         q = stepper.advance(q, gq, gq_prev, uq)
         gp_prev, gq_prev = gp, gq
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
-            worst = max(worst, float(np.max(np.abs(np.asarray(gf.script_N(np.clip(p, 0.0, 1.0))) - q))))
+            worst = max(worst, float(np.max(np.abs(gf.script_N(p) - q))))
     return worst

@@ -135,3 +135,59 @@ def reference_march(nl, geometry, ops, alphas, target=None, keep=False):
         if keep:
             column.append(cur)
     return reach, (np.stack(column) if keep else None)
+
+
+def reference_equivalence_check(nl, N_of_p, p0, u, T, dt, snapshot_every=10):
+    """``rdcontrol.transform.equivalence_check`` as it was before it took
+    the map: it builds its own map from ``N_of_p``, evaluates N three times
+    and calls the checked ``tilde_f`` and ``nl.f`` at every step.  Same
+    results."""
+    from rdcontrol.errors import SolverFailure
+    from rdcontrol.transform import _CnAb2, build_map, tilde_f
+
+    gf = build_map(N_of_p)
+    n = p0.n
+    x = p0.x
+    h = p0.h
+    stepper = _CnAb2(p0.geometry, n, dt)
+    n_steps = max(1, int(round(T / dt)))
+
+    def n_ratio(p):
+        pc = np.clip(p, 0.0, 1.0)
+        eps = 1e-6
+        lo = np.clip(pc - eps, 0.0, 1.0)
+        hi = np.clip(pc + eps, 0.0, 1.0)
+        nv = np.asarray(N_of_p(pc), dtype=float)
+        dn = (np.asarray(N_of_p(hi), dtype=float) - np.asarray(N_of_p(lo), dtype=float)) / (hi - lo)
+        return dn / nv
+
+    def g_quasi(p):
+        grad = np.gradient(p, h, edge_order=2)
+        out = np.asarray(nl.f(p)) + 2.0 * n_ratio(p) * grad**2
+        return out
+
+    def g_heat(q):
+        return np.asarray(tilde_f(gf, nl, np.clip(q, 0.0, 1.0)))
+
+    p = p0.values.copy()
+    q = np.asarray(gf.script_N(p0.values), dtype=float)
+    gp_prev = g_quasi(p)
+    gq_prev = g_heat(q)
+    worst = float(np.max(np.abs(np.asarray(gf.script_N(p)) - q)))
+    u = min(max(float(u), 0.0), 1.0)
+    uq = float(gf.script_N(u))
+    for k in range(n_steps):
+        gp = g_quasi(p)
+        gq = g_heat(q)
+        try:
+            p = stepper.advance(p, gp, gp_prev, u)
+            stable = np.max(np.abs(p)) <= 10.0
+        except SolverFailure:  # non-finite quasilinear state
+            stable = False
+        if not stable:
+            raise SolverFailure("gf-stiff: quasilinear step unstable, halve dt")
+        q = stepper.advance(q, gq, gq_prev, uq)
+        gp_prev, gq_prev = gp, gq
+        if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
+            worst = max(worst, float(np.max(np.abs(np.asarray(gf.script_N(np.clip(p, 0.0, 1.0))) - q))))
+    return worst

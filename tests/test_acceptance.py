@@ -248,8 +248,7 @@ def test_criterion_9_gene_flow_equivalence(nl):
             dt = 0.004 / 2**lev
             x = g.grid(n)
             p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * THETA)
-            discs.append(equivalence_check(nl, lambda p: 1.0 + np.asarray(p, dtype=float),
-                                           p0, 0.0, T=2.0, dt=dt, snapshot_every=25))
+            discs.append(equivalence_check(nl, gf, p0, 0.0, T=2.0, dt=dt, snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5
 

@@ -311,6 +311,7 @@ class TestCommands:
             "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["eigen", "energy"])
     def test_weighted_problem_on_an_infection_drift_exit_2(self, tmp_path, capsys, command):
@@ -321,7 +322,7 @@ class TestCommands:
             "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_time_stepping_on_an_infection_drift_exit_2(self, tmp_path, capsys, command):
@@ -332,7 +333,7 @@ class TestCommands:
             "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "transform-check" in capsys.readouterr().err
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_barrier_trajectory_starts_from_the_search_alpha(self, tmp_path):
         # at sigma = 0.1 the boundary-1 edge sits near alpha = 1e-25 and the
@@ -352,6 +353,15 @@ class TestCommands:
         info = json.loads((tmp_path / "o" / "transform.json").read_text())
         assert info["script_N_theta"] == pytest.approx(((1.33) ** 3 - 1) / 7, abs=1e-10)
         assert info["sup_discrepancy"] < 5e-3
+
+    def test_one_map_per_transform_check_run(self, tmp_path, monkeypatch):
+        from rdcontrol import transform
+
+        maps = []
+        build = transform.build_map
+        monkeypatch.setattr(transform, "build_map", lambda N: maps.append(N) or build(N))
+        assert main(["preset", "transform_check", "--out", str(tmp_path / "o")]) == 0
+        assert len(maps) == 1
 
     def test_transform_check_with_decreasing_N(self, tmp_path):
         # N = 1 - 0.9 p makes int_0^1 f~ negative at theta = 0.33; the

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import reference_equivalence_check
 from rdcontrol import transform
 from rdcontrol.errors import InvalidInput, SolverFailure
-from rdcontrol.model import DomainGeometry, GridProfile
+from rdcontrol.model import BistableNonlinearity, DomainGeometry, GridProfile
 from rdcontrol.transform import build_map, equivalence_check, tilde_f, tilde_nonlinearity
 
 
@@ -99,8 +102,8 @@ class TestEquivalence:
         g = DomainGeometry.interval(1.0)
         x = g.grid(101)
         p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
-        d = equivalence_check(nl033, lambda p: np.ones_like(np.asarray(p, dtype=float)),
-                              p0, 0.0, T=1.0, dt=0.002)
+        gf = build_map(lambda p: np.ones_like(np.asarray(p, dtype=float)))
+        d = equivalence_check(nl033, gf, p0, 0.0, T=1.0, dt=0.002)
         assert d < 1e-9
 
     def test_constant_state_conjugation(self, nl033):
@@ -110,10 +113,10 @@ class TestEquivalence:
         g = DomainGeometry.interval(1.0)
         for c in (0.0, 0.33, 1.0):
             p0 = GridProfile(g, np.full(101, c))
-            d = equivalence_check(nl033, N_affine, p0, c, T=0.5, dt=0.002)
+            d = equivalence_check(nl033, build_map(N_affine), p0, c, T=0.5, dt=0.002)
             assert d < 1e-12
         p0 = GridProfile(g, np.full(101, 0.6))
-        d = equivalence_check(nl033, N_affine, p0, 0.6, T=0.5, dt=0.002)
+        d = equivalence_check(nl033, build_map(N_affine), p0, 0.6, T=0.5, dt=0.002)
         assert d < 1e-6
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -123,7 +126,7 @@ class TestEquivalence:
         g = DomainGeometry.ball(1.0, d)
         x = g.grid(101)
         p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
-        assert equivalence_check(nl033, N_affine, p0, 0.0, T=2.0, dt=0.002) < 1e-4
+        assert equivalence_check(nl033, build_map(N_affine), p0, 0.0, T=2.0, dt=0.002) < 1e-4
 
     def test_refinement_factor_near_four(self, nl033):
         g = DomainGeometry.interval(1.0)
@@ -133,7 +136,7 @@ class TestEquivalence:
             dt = 0.004 / 2**lev
             x = g.grid(n)
             p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * x)) * 0.33)
-            discs.append(equivalence_check(nl033, N_affine, p0, 0.0, T=2.0, dt=dt,
+            discs.append(equivalence_check(nl033, build_map(N_affine), p0, 0.0, T=2.0, dt=dt,
                                            snapshot_every=25))
         assert 3.5 < discs[0] / discs[1] < 4.5
         assert 3.5 < discs[1] / discs[2] < 4.5
@@ -144,7 +147,7 @@ class TestEquivalence:
         x = g.grid(41)
         p0 = GridProfile(g, np.where(x < 0.5, 1.0, 0.0))
         with pytest.raises(SolverFailure, match="gf-stiff"):
-            equivalence_check(nl033, lambda p: np.exp(5.0 * np.asarray(p, dtype=float)),
+            equivalence_check(nl033, build_map(lambda p: np.exp(5.0 * np.asarray(p, dtype=float))),
                               p0, 0.0, T=2.0, dt=0.05)
 
     def test_non_finite_quasilinear_state_is_gf_stiff(self, nl033, monkeypatch):
@@ -155,4 +158,65 @@ class TestEquivalence:
         g = DomainGeometry.interval(1.0)
         p0 = GridProfile(g, np.full(41, 0.5))
         with pytest.raises(SolverFailure, match="gf-stiff"):
-            equivalence_check(nl033, N_affine, p0, 0.0, T=0.1, dt=0.01)
+            equivalence_check(nl033, build_map(N_affine), p0, 0.0, T=0.1, dt=0.01)
+
+
+# densities N(p) of the oracle comparison: affine, two exponentials and a wave
+_DENSITIES = {
+    "affine": lambda p: 0.5 + 2.0 * np.asarray(p, dtype=float),
+    "exp": lambda p: np.exp(1.3 * np.asarray(p, dtype=float)),
+    "gauss": lambda p: np.exp(-np.asarray(p, dtype=float) ** 2),
+    "sin": lambda p: 1.0 + 0.5 * np.sin(3.0 * np.asarray(p, dtype=float)),
+}
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("u", [0.0, 0.6])
+    @pytest.mark.parametrize("geometry, n", [(DomainGeometry.interval(1.0), 101),
+                                             (DomainGeometry.interval(1.0), 200),
+                                             (DomainGeometry.ball(1.0, 3), 101)],
+                             ids=["interval-101", "interval-200", "ball-3"])
+    @pytest.mark.parametrize("name", _DENSITIES)
+    def test_same_bits_as_the_reference(self, nl033, name, geometry, n, u):
+        x = geometry.grid(n)
+        p0 = GridProfile(geometry, 0.5 * (1 + np.cos(np.pi * x / geometry.inradius())) * 0.33)
+        N = _DENSITIES[name]
+        ours = equivalence_check(nl033, build_map(N), p0, u, T=0.4, dt=0.002)
+        assert ours.hex() == reference_equivalence_check(nl033, N, p0, u, T=0.4, dt=0.002).hex()
+
+    @pytest.mark.parametrize("name", _DENSITIES)
+    def test_inverse_keeps_the_unit_interval(self, name):
+        # the step loop evaluates N^2 at _inv(q) for a clipped q without a
+        # second clip: monotone PCHIP stays between its node values
+        gf = build_map(_DENSITIES[name])
+        rng = np.random.default_rng(25)
+        for q in [np.array([0.0, 1.0]), gf.script_table] + [rng.random(250_000) for _ in range(8)]:
+            x = gf._inv(q)
+            assert x.min() >= 0.0 and x.max() <= 1.0
+
+    def test_the_heat_side_maps_back_a_clipped_q(self, nl033):
+        # here CN leaves q about 1e-18 below 0 beside the pinned boundary, too
+        # little to move the discrepancy's bits: read what _inv is given
+        seen = []
+        gf = build_map(_DENSITIES["affine"])
+        inv = gf._inv
+        gf = replace(gf, _inv=lambda q: seen.append((q.min(), q.max())) or inv(q))
+        g = DomainGeometry.interval(1.0)
+        p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * g.grid(101))) * 0.33)
+        equivalence_check(nl033, gf, p0, 0.0, T=0.4, dt=0.002)
+        assert len(seen) == 200 and min(seen)[0] == 0.0 and max(seen)[1] <= 1.0
+
+    def test_the_step_loop_evaluates_each_value_once(self, nl033, monkeypatch):
+        calls = []
+        gf = build_map(lambda p: calls.append(np.shape(p)) or 1.0 + np.asarray(p, dtype=float))
+        calls.clear()
+
+        def checked(*args):
+            raise AssertionError("the step loop calls a checked evaluation")
+
+        monkeypatch.setattr(transform, "tilde_f", checked)
+        monkeypatch.setattr(BistableNonlinearity, "f", checked)
+        g = DomainGeometry.interval(1.0)
+        p0 = GridProfile(g, 0.5 * (1 + np.cos(np.pi * g.grid(41))) * 0.33)
+        equivalence_check(nl033, gf, p0, 0.0, T=0.1, dt=0.01)
+        assert calls == [(3, 41)] * 10  # one call per step
