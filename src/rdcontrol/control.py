@@ -95,7 +95,7 @@ def _run_leg(st: _Stepper, vals, target: GridProfile, n_steps: int, tol: float):
         u_max = max(u_max, uL, uR)
         vals = st.advance(vals, uL, uR)
         t_used += st.dt
-        err = float(np.max(np.abs(vals - tgt)))
+        err = float(np.maximum.reduce(np.abs(vals - tgt)))
         if err <= tol:
             break
     return vals, LegRecord(steps, t_used, err, u_min, u_max)

@@ -16,6 +16,15 @@ that overflows raises SolverFailure there.  The reaction term is
 evaluated unchecked (``BistableNonlinearity._f_values``), since the
 state it reads is a validated start profile or the previous checked
 solve.
+
+The step is deterministic, so under a static control one snapshot
+interval of ``simulate`` is a fixed map of the state.  A blocked run
+often reaches its stationary state exactly in floating point, as a
+bitwise fixed point or a short cycle (not all do: fig6_strong's u = 1
+run never repeats).  Once a whole-interval snapshot repeats an earlier
+one bit for bit, the later whole-interval snapshots of ``simulate`` are
+that cycle's profiles again, not stepped, and only the steps after the
+last whole interval are marched.
 """
 
 from __future__ import annotations
@@ -104,20 +113,40 @@ class _Stepper:
 def simulate(p0: GridProfile, nl: BistableNonlinearity, drift: DriftField,
              schedule: ControlSchedule, T: float, dt: float,
              snapshot_every: int = 10) -> SimulationResult:
-    """March the controlled equation to time T, keeping periodic snapshots."""
+    """March the controlled equation to time T, keeping the start state, a
+    snapshot every ``snapshot_every`` steps and one at the last step.
+
+    Once a whole-interval snapshot repeats an earlier one bit for bit,
+    the later whole-interval snapshots are that cycle's profiles again
+    (the same objects), not stepped (module docstring)."""
+    if snapshot_every < 1:
+        raise InvalidInput("invalid-scalar: snapshot_every must be at least 1")
     geometry = p0.geometry
     st = _Stepper(geometry, p0.n, drift, nl, dt)
-    prof = GridProfile(geometry, p0.values.copy())
     n_steps = max(1, int(round(T / dt)))
-    times = [0.0]
-    snaps = [prof]
+    n_whole, rest = divmod(n_steps, snapshot_every)
     u = schedule.value
-    for k in range(n_steps):
-        prof = GridProfile(geometry, st.advance(prof.values, u, u))
-        if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
+
+    def march(prof, k):
+        for _ in range(k):
+            prof = GridProfile(geometry, st.advance(prof.values, u, u))
+        return prof
+
+    snaps = [GridProfile(geometry, p0.values.copy())]
+    seen = {snaps[0].values.tobytes(): 0}  # snapshot bytes -> index
+    while len(snaps) <= n_whole:
+        m = len(snaps)
+        prof = march(snaps[-1], snapshot_every)
+        i = seen.setdefault(prof.values.tobytes(), m)
+        if i < m:  # snapshot m repeats snapshot i: period m - i from i on
+            snaps += [snaps[i + (j - i) % (m - i)] for j in range(m, n_whole + 1)]
+        else:
             snaps.append(prof)
-    return SimulationResult(times=np.asarray(times), snapshots=snaps)
+    steps = [j * snapshot_every for j in range(n_whole + 1)]
+    if rest:
+        snaps.append(march(snaps[-1], rest))
+        steps.append(n_steps)
+    return SimulationResult(times=np.asarray(steps) * dt, snapshots=snaps)
 
 
 def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
@@ -136,12 +165,12 @@ def verdict(checks, a: float, horizon: float, geometry: DomainGeometry,
         raise InvalidInput("invalid-scalar: tol must be positive")
     mark = None
     for t, vals in checks:
-        gap = float(np.max(np.abs(vals - a)))
+        gap = float(np.maximum.reduce(np.abs(vals - a)))
         if gap < tol:
             return Verdict("converged", float(t), gap, GridProfile(geometry, vals), None, horizon)
         if mark is None and t >= 0.9 * horizon:
             t_mark, mark = t, vals
-    stall = float(np.max(np.abs(vals - mark))) if mark is not None and t_mark < t else np.inf
+    stall = float(np.maximum.reduce(np.abs(vals - mark))) if mark is not None and t_mark < t else np.inf
     if stall < tol / 10.0:
         return Verdict("blocked", None, gap, GridProfile(geometry, vals), stall, horizon)
     raise SolverFailure(f"horizon-too-short: neither converged (gap {gap:.3g}) "

@@ -134,6 +134,15 @@ class _CnAb2:
         return solve_tridiagonal(self.factor, rhs)
 
 
+def _uniform_gradient(p: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """``np.gradient(p, h, edge_order=2)`` written into ``out``: numpy's own
+    uniform-spacing stencils in the same order, so the same bits."""
+    out[1:-1] = (p[2:] - p[:-2]) / (2.0 * h)
+    out[0] = (-1.5 / h) * p[0] + (2.0 / h) * p[1] + (-0.5 / h) * p[2]
+    out[-1] = (0.5 / h) * p[-3] + (-2.0 / h) * p[-2] + (1.5 / h) * p[-1]
+    return out
+
+
 def equivalence_check(nl: BistableNonlinearity, gf: GeneFlowMap, p0: GridProfile,
                       u: float, T: float, dt: float, snapshot_every: int = 10) -> float:
     """Sup over snapshots of |script_N(p) - q| between the quasilinear
@@ -151,11 +160,12 @@ def equivalence_check(nl: BistableNonlinearity, gf: GeneFlowMap, p0: GridProfile
     stepper = _CnAb2(p0.geometry, p0.n, dt)
     n_steps = max(1, int(round(T / dt)))
     stencil = np.array([[-1e-6], [0.0], [1e-6]])  # N'/N by a central difference
+    h, grad = p0.h, np.empty(p0.n)
 
     def g_quasi(p):
         s = np.clip(np.clip(p, 0.0, 1.0) + stencil, 0.0, 1.0)
         n_lo, nv, n_hi = np.asarray(gf.N_of_p(s), dtype=float)
-        grad = np.gradient(p, p0.h, edge_order=2)
+        _uniform_gradient(p, h, grad)
         return nl._f_values(p) + 2.0 * ((n_hi - n_lo) / (s[2] - s[0]) / nv) * grad**2
 
     def g_heat(q):  # tilde_f; _inv keeps [0, 1] in [0, 1], so x needs no clip

@@ -191,3 +191,25 @@ def reference_equivalence_check(nl, N_of_p, p0, u, T, dt, snapshot_every=10):
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
             worst = max(worst, float(np.max(np.abs(np.asarray(gf.script_N(np.clip(p, 0.0, 1.0))) - q))))
     return worst
+
+
+def reference_simulate(p0, nl, drift, schedule, T, dt, snapshot_every=10):
+    """``rdcontrol.dynamics.simulate`` as it was before it stopped at a
+    repeated snapshot: it steps every one of the n_steps steps.  Same
+    results."""
+    from rdcontrol.dynamics import SimulationResult, _Stepper
+    from rdcontrol.model import GridProfile
+
+    geometry = p0.geometry
+    st = _Stepper(geometry, p0.n, drift, nl, dt)
+    prof = GridProfile(geometry, p0.values.copy())
+    n_steps = max(1, int(round(T / dt)))
+    times = [0.0]
+    snaps = [prof]
+    u = schedule.value
+    for k in range(n_steps):
+        prof = GridProfile(geometry, st.advance(prof.values, u, u))
+        if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
+            times.append((k + 1) * dt)
+            snaps.append(prof)
+    return SimulationResult(times=np.asarray(times), snapshots=snaps)

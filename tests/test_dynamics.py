@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_simulate
 from rdcontrol.dynamics import (
     ControlSchedule,
     _Stepper,
@@ -12,6 +13,7 @@ from rdcontrol.dynamics import (
 )
 from rdcontrol.errors import InvalidInput, SolverFailure
 from rdcontrol.model import BistableNonlinearity, DomainGeometry, DriftField, GridProfile
+from rdcontrol.scenario import load_scenario
 from rdcontrol.steady import find_barrier_one, find_barrier_zero
 
 
@@ -166,9 +168,72 @@ class TestSimulate:
             vals = hold(_Stepper(g, 101, drift, nl033, 0.01), p0.values, 0.0, 500)
             assert np.array_equal(sim.snapshots[-1].values, vals)
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_snapshot_cadence_must_be_positive(self, nl033, homog, interval_1, every):
+        p0 = GridProfile(interval_1, np.ones(101))
+        with pytest.raises(InvalidInput, match="snapshot_every"):
+            simulate(p0, nl033, homog, ControlSchedule.static(0.0), T=1.0, dt=0.02,
+                     snapshot_every=every)
+
     def test_schedule_clamps(self):
         assert ControlSchedule.static(1.7).value == 1.0
         assert ControlSchedule.static(-0.1).value == 0.0
+
+
+def _preset_runs(preset, theta=None):
+    """(u, p0, scenario) of each target of a simulate preset, started as
+    ``cli._run_simulate`` starts it; theta replaces the cubic's root."""
+    raw = {"preset": preset}
+    if theta is not None:
+        raw["f"] = {"kind": "cubic", "theta": theta}
+    sc = load_scenario(raw)
+    return [(a, GridProfile(sc.geometry, np.full(sc.n, 1.0 - a if start is None else start)), sc)
+            for a, start in sc.targets]
+
+
+class TestRepeatedSnapshots:
+    """simulate reuses the cycle after a repeated snapshot instead of
+    stepping through it; the results are the full march's bit for bit."""
+
+    @pytest.mark.parametrize("preset, theta", [("fig6_strong", None), ("fig7", None),
+                                               ("fig6", 0.30), ("fig6", 0.33), ("fig6", 0.36)])
+    def test_same_bits_as_the_reference(self, preset, theta):
+        for a, p0, sc in _preset_runs(preset, theta):
+            schedule = ControlSchedule.static(a)
+            # every state of the full march; a cadence keeps some of them
+            ref = reference_simulate(p0, sc.nl, sc.drift, schedule, sc.T, sc.dt, snapshot_every=1)
+            n_steps = len(ref.snapshots) - 1
+            for every in (1, 7, 75, 100, 333):  # 333 leaves a remainder on every preset
+                sim = simulate(p0, sc.nl, sc.drift, schedule, sc.T, sc.dt, snapshot_every=every)
+                kept = sorted(set(range(0, n_steps, every)) | {n_steps})
+                assert sim.times.tobytes() == ref.times[kept].tobytes(), (a, every)
+                assert ([s.values.tobytes() for s in sim.snapshots]
+                        == [ref.snapshots[k].values.tobytes() for k in kept]), (a, every)
+
+    def test_step_counts_at_the_preset_cadence(self, monkeypatch):
+        # fig7's p0 = 1 lane enters a period-2 cycle that its odd cadence of
+        # 75 steps sees only against the snapshot before the previous one
+        counts = {"advance": 0, "profiles": 0}
+        advance, post_init = _Stepper.advance, GridProfile.__post_init__
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        runs = [(preset, run) for preset in ("fig6_strong", "fig7") for run in _preset_runs(preset)]
+        monkeypatch.setattr(_Stepper, "advance", counting("advance", advance))
+        monkeypatch.setattr(GridProfile, "__post_init__", counting("profiles", post_init))
+        taken = {}
+        for preset, (a, p0, sc) in runs:
+            counts.update(advance=0, profiles=0)
+            simulate(p0, sc.nl, sc.drift, ControlSchedule.static(a), sc.T, sc.dt,
+                     snapshot_every=max(1, int(round(sc.T / sc.dt / 40))))
+            taken[preset, a, p0.values[0]] = counts["advance"]
+            assert counts["profiles"] == counts["advance"] + 1  # one per step and the start
+        assert taken == {("fig6_strong", 0.0, 1.0): 2300, ("fig6_strong", 1.0, 0.0): 4000,
+                         ("fig7", 0.33, 1.0): 1575, ("fig7", 0.33, 0.0): 2850}
 
 
 class TestVerdicts:

@@ -206,6 +206,15 @@ class TestAgainstTheReference:
         equivalence_check(nl033, gf, p0, 0.0, T=0.4, dt=0.002)
         assert len(seen) == 200 and min(seen)[0] == 0.0 and max(seen)[1] <= 1.0
 
+    @pytest.mark.parametrize("n", [3, 4, 41, 101, 1000])
+    def test_the_slice_gradient_is_np_gradient(self, n):
+        rng = np.random.default_rng(n)
+        for h in (1e-3, 0.01, 2.5 / 200, 0.37, 3.0):
+            for scale in (1e-8, 1.0, 1e6):
+                p = scale * rng.standard_normal(n)
+                ours = transform._uniform_gradient(p, h, np.empty(n))
+                assert ours.tobytes() == np.gradient(p, h, edge_order=2).tobytes()
+
     def test_the_step_loop_evaluates_each_value_once(self, nl033, monkeypatch):
         calls = []
         gf = build_map(lambda p: calls.append(np.shape(p)) or 1.0 + np.asarray(p, dtype=float))
